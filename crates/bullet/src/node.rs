@@ -17,18 +17,18 @@
 //! discrete-event simulator and the thread-based live runtime in the
 //! examples.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use bullet_content::{
     block_digest, missing_keys_iter, BloomFilter, PermutationFamily, ReconcileRequest,
     SummaryTicket, WorkingSet,
 };
 use bullet_dynamics::ScenarioAgent;
-use bullet_netsim::{Agent, Context, FaultPlan, OverlayId, SimDuration, SimTime};
+use bullet_netsim::{Agent, Context, FaultPlan, FxHashMap, OverlayId, SimDuration, SimTime};
 use bullet_overlay::Tree;
 use bullet_ransub::{Member, RanSub, RanSubConfig, RanSubEvent, RanSubMsg};
 use bullet_telemetry::{TraceData, CAT_JOURNEY, CAT_PROTO};
-use bullet_transport::{TfrcReceiver, TfrcSender};
+use bullet_transport::{TfrcHeader, TfrcReceiver, TfrcSender};
 
 use crate::config::{BulletConfig, IntegrityConfig};
 use crate::disjoint::DisjointSender;
@@ -103,14 +103,19 @@ pub struct BulletNode {
 
     working_set: WorkingSet,
     ticket: SummaryTicket,
+    /// Whether `ticket` is exactly the sketch of `working_set`: `learn_seq`
+    /// keeps it so, and it lapses when a prune drops blocks or a false
+    /// advertiser publishes its phantom ticket. `rebuild_ticket` rebuilds
+    /// only a lapsed ticket.
+    ticket_exact: bool,
     next_seq: u64,
 
     ransub: RanSub<SummaryTicket>,
     disjoint: DisjointSender,
     peers: PeerManager,
 
-    out_conns: HashMap<OverlayId, TfrcSender>,
-    in_conns: HashMap<OverlayId, TfrcReceiver>,
+    out_conns: FxHashMap<OverlayId, TfrcSender>,
+    in_conns: FxHashMap<OverlayId, TfrcReceiver>,
 
     /// Reusable peer-id buffer for the periodic timers (filter refresh, peer
     /// service, mesh evaluation), which need the sender/receiver node list
@@ -119,6 +124,10 @@ pub struct BulletNode {
     scratch_peers: Vec<OverlayId>,
     /// Reusable key buffer for `serve_receivers`.
     scratch_keys: Vec<u64>,
+    /// Reusable per-child sending factors for `route_to_children`.
+    scratch_factors: Vec<f64>,
+    /// Reusable buffer of the children that accepted a forwarded packet.
+    scratch_accepted: Vec<(OverlayId, TfrcHeader)>,
 
     /// Cumulative data-plane metrics sampled by the experiment harness.
     pub metrics: BulletMetrics,
@@ -229,14 +238,17 @@ impl BulletNode {
             family,
             working_set: WorkingSet::new(),
             ticket,
+            ticket_exact: true,
             next_seq: 0,
             ransub,
             disjoint,
             peers,
-            out_conns: HashMap::new(),
-            in_conns: HashMap::new(),
+            out_conns: FxHashMap::default(),
+            in_conns: FxHashMap::default(),
             scratch_peers: Vec::new(),
             scratch_keys: Vec::new(),
+            scratch_factors: Vec::new(),
+            scratch_accepted: Vec::new(),
             metrics: BulletMetrics::default(),
             streaming: true,
             timer_gen: 0,
@@ -409,21 +421,37 @@ impl BulletNode {
         }
     }
 
-    /// Rebuilds the summary ticket from the pruned working set and pushes it
-    /// into RanSub.
+    /// Brings the summary ticket up to date with the pruned working set and
+    /// pushes it into RanSub. A min-wise sketch cannot forget elements, so
+    /// the ticket is rebuilt from scratch only once a prune has dropped some
+    /// (see `ticket_exact`); until then the incremental one is exact.
     fn rebuild_ticket(&mut self) {
-        self.ticket = if self.false_advertiser {
+        if self.false_advertiser {
             // A false advertiser claims a window of phantom content just
             // past the live edge: maximally disjoint from every honest
             // ticket, so resemblance-based peering is drawn straight to
             // it.
             let (_, high) = self.working_set.range();
             let claim = (high + 1)..(high + 1 + self.config.working_set_window as u64);
-            SummaryTicket::from_elements(&self.family, claim)
-        } else {
-            SummaryTicket::from_elements(&self.family, self.working_set.iter())
-        };
+            self.ticket = SummaryTicket::from_elements(&self.family, claim);
+            self.ticket_exact = false;
+        } else if !self.ticket_exact {
+            self.ticket = SummaryTicket::from_elements(&self.family, self.working_set.iter());
+            self.ticket_exact = true;
+        }
         self.ransub.set_state(self.ticket.clone());
+    }
+
+    /// Prunes the working set to its newest `max_len` blocks and returns
+    /// how many it dropped.
+    fn prune_working_set(&mut self, max_len: usize) -> usize {
+        let before = self.working_set.len();
+        self.working_set.prune_to_len(max_len);
+        let dropped = before - self.working_set.len();
+        if dropped > 0 {
+            self.ticket_exact = false;
+        }
+        dropped
     }
 
     /// The digest a relayed copy of block `seq` travels with: the sealed
@@ -555,22 +583,21 @@ impl BulletNode {
         }
     }
 
-    /// Current per-child sending factors from RanSub descendant counts.
-    fn sending_factors(&self) -> Vec<f64> {
-        let counts: Vec<Option<u64>> = self
-            .children
-            .iter()
-            .map(|&c| self.ransub.descendants_of(c))
-            .collect();
-        if counts.iter().any(Option::is_none) {
-            return self.disjoint.equal_factors();
+    /// Fills `factors` with the current per-child sending factors from
+    /// RanSub descendant counts (equal factors until every child reported).
+    fn sending_factors(&self, factors: &mut Vec<f64>) {
+        factors.clear();
+        for &child in &self.children {
+            let Some(count) = self.ransub.descendants_of(child) else {
+                self.disjoint.equal_factors(factors);
+                return;
+            };
+            factors.push(count.max(1) as f64);
         }
-        let counts: Vec<f64> = counts
-            .into_iter()
-            .map(|c| c.unwrap().max(1) as f64)
-            .collect();
-        let total: f64 = counts.iter().sum();
-        counts.into_iter().map(|c| c / total).collect()
+        let total: f64 = factors.iter().sum();
+        for factor in factors.iter_mut() {
+            *factor /= total;
+        }
     }
 
     /// Forwards one packet toward the children using the disjoint send
@@ -579,12 +606,14 @@ impl BulletNode {
         if self.children.is_empty() {
             return;
         }
-        let factors = self.sending_factors();
+        let mut factors = std::mem::take(&mut self.scratch_factors);
+        self.sending_factors(&mut factors);
         let now = ctx.now();
         let tfrc = self.config.tfrc;
         let packet_size = self.config.packet_size;
         let out_conns = &mut self.out_conns;
-        let mut accepted: Vec<(OverlayId, bullet_transport::TfrcHeader)> = Vec::new();
+        let mut accepted = std::mem::take(&mut self.scratch_accepted);
+        accepted.clear();
         let outcome = self.disjoint.route_packet(seq, &factors, |child, _key| {
             let conn = out_conns
                 .entry(child)
@@ -597,7 +626,7 @@ impl BulletNode {
                 Err(_) => false,
             }
         });
-        for (child, header) in accepted {
+        for &(child, header) in &accepted {
             if ctx.tracing(CAT_JOURNEY) {
                 ctx.trace(TraceData::TreePush {
                     seq,
@@ -606,10 +635,12 @@ impl BulletNode {
             }
             self.send_data_packet(ctx, child, header, seq);
         }
-        self.metrics.forwarded_packets += outcome.sent_to.len() as u64;
+        self.metrics.forwarded_packets += outcome.sent as u64;
         if outcome.owner.is_none() {
             self.metrics.orphaned_packets += 1;
         }
+        self.scratch_factors = factors;
+        self.scratch_accepted = accepted;
     }
 
     /// Arms the recurring maintenance timers (peer service, filter refresh,
@@ -1601,19 +1632,15 @@ impl Agent for BulletNode {
                     // owed to a mesh receiver — shedding must not break a
                     // serving promise.
                     if self.working_set.len() > overload.working_set_budget {
-                        let floor = self.peers.receivers().iter().map(|r| r.request.low).min();
+                        let floor = self.peers.receivers().iter().map(|r| r.request.low()).min();
                         let owed = floor
                             .map(|f| self.working_set.iter_range(f, u64::MAX).count())
                             .unwrap_or(0);
                         let target = overload.working_set_budget.max(owed);
-                        let before = self.working_set.len();
-                        self.working_set.prune_to_len(target);
-                        self.metrics.working_set_evictions +=
-                            before.saturating_sub(self.working_set.len()) as u64;
+                        self.metrics.working_set_evictions += self.prune_working_set(target) as u64;
                     }
                 }
-                self.working_set
-                    .prune_to_len(self.config.working_set_window);
+                self.prune_working_set(self.config.working_set_window);
                 if !self.tainted.is_empty() {
                     self.tainted = self.tainted.split_off(&self.working_set.low_watermark());
                 }
@@ -2547,6 +2574,67 @@ mod tests {
             let agent = sim.agent(2);
             assert_eq!(agent.working_set.len(), 20);
             assert_eq!(agent.metrics.working_set_evictions, 80);
+        }
+    }
+
+    #[test]
+    fn the_ticket_pushed_to_ransub_always_sketches_the_working_set() {
+        use crate::config::OverloadConfig;
+        // One node prunes only by its window, the other also evicts down to
+        // its working-set budget (with no receivers owed anything).
+        let window_only = BulletConfig {
+            working_set_window: 120,
+            ..quick_config()
+        };
+        let budgeted = BulletConfig {
+            working_set_window: 400,
+            overload: Some(OverloadConfig {
+                working_set_budget: 70,
+                ..OverloadConfig::default()
+            }),
+            ..quick_config().overload()
+        };
+        for (config, seed, evicts) in [(window_only, 53, false), (budgeted, 54, true)] {
+            let mut sim = build_sim(4, 2_000_000.0, config, seed);
+            sim.run_until(SimTime::from_secs(1));
+            sim.invoke_agent(1, |agent, ctx| {
+                let sketch = |agent: &BulletNode| {
+                    SummaryTicket::from_elements(&agent.family, agent.working_set.iter())
+                };
+                let mut seq = agent.working_set.max_seq().map_or(0, |s| s + 1);
+                for round in 0..8u64 {
+                    for _ in 0..60 {
+                        agent.learn_seq(seq);
+                        seq += 1 + round % 3;
+                    }
+                    agent.on_timer(ctx, agent.tag(timer::FILTER_REFRESH));
+                    assert_eq!(agent.ransub.state(), &sketch(agent), "round {round} learn");
+                    agent.on_timer(ctx, agent.tag(timer::HOUSEKEEPING));
+                    agent.on_timer(ctx, agent.tag(timer::FILTER_REFRESH));
+                    assert_eq!(agent.ransub.state(), &sketch(agent), "round {round} prune");
+                }
+                assert!(agent.working_set.low_watermark() > 0, "nothing was pruned");
+
+                // A false advertiser publishes its phantom window, however
+                // its real working set changes...
+                agent.false_advertiser = true;
+                for _ in 0..2 {
+                    agent.learn_seq(seq);
+                    seq += 1;
+                    agent.on_timer(ctx, agent.tag(timer::FILTER_REFRESH));
+                    let high = agent.working_set.max_seq().expect("non-empty");
+                    let window = agent.config.working_set_window as u64;
+                    let phantom =
+                        SummaryTicket::from_elements(&agent.family, high + 1..high + 1 + window);
+                    assert_eq!(agent.ransub.state(), &phantom);
+                }
+                // ...and an honest node again advertises its real content.
+                agent.false_advertiser = false;
+                agent.on_timer(ctx, agent.tag(timer::FILTER_REFRESH));
+                assert_eq!(agent.ransub.state(), &sketch(agent), "after lying");
+            });
+            let evictions = sim.agent(1).metrics.working_set_evictions;
+            assert_eq!(evictions > 0, evicts, "budget evictions: {evictions}");
         }
     }
 

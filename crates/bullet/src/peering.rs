@@ -9,9 +9,8 @@
 //! peers.
 
 use bullet_content::{ReconcileRequest, SummaryTicket};
-use bullet_netsim::{OverlayId, SimRng};
+use bullet_netsim::{FxHashSet, OverlayId, SimRng};
 use bullet_ransub::Member;
-use std::collections::HashSet;
 
 /// State kept about one sending peer (a peer this node receives data from).
 #[derive(Clone, Debug)]
@@ -70,7 +69,7 @@ pub struct ReceiverPeer {
     pub request: ReconcileRequest,
     /// Keys already forwarded since the filter was last refreshed, kept so
     /// the same key is not re-sent while the filter is stale.
-    pub sent_since_refresh: HashSet<u64>,
+    pub sent_since_refresh: FxHashSet<u64>,
     /// Data bytes sent to this receiver in the current evaluation window.
     pub bytes_sent_window: u64,
     /// The receiver's total received bandwidth over its last reported window
@@ -94,7 +93,7 @@ impl ReceiverPeer {
         ReceiverPeer {
             node,
             request,
-            sent_since_refresh: HashSet::new(),
+            sent_since_refresh: FxHashSet::default(),
             bytes_sent_window: 0,
             reported_total_bytes: 0,
             active_this_window: true,
@@ -136,7 +135,7 @@ pub struct PeerManager {
     senders: Vec<SenderPeer>,
     receivers: Vec<ReceiverPeer>,
     /// Outstanding peering requests (candidates we asked, no answer yet).
-    pending: HashSet<OverlayId>,
+    pending: FxHashSet<OverlayId>,
 }
 
 impl PeerManager {
@@ -155,7 +154,7 @@ impl PeerManager {
             resemblance_peering,
             senders: Vec::new(),
             receivers: Vec::new(),
-            pending: HashSet::new(),
+            pending: FxHashSet::default(),
         }
     }
 

@@ -7,10 +7,10 @@
 //! its senders. A sender then forwards the keys it holds that fall in the
 //! range, match its assigned row, and do not appear in the filter.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::bloom::BloomFilter;
-use crate::working_set::WorkingSet;
+use crate::working_set::{SetBits, WorkingSet};
 
 /// The reconciliation state a receiver installs at one sending peer.
 ///
@@ -21,21 +21,24 @@ use crate::working_set::WorkingSet;
 /// simulator — share the ~2 KB bit array instead of cloning it. Cloning a
 /// request is a pointer bump; [`ReconcileRequest::wire_bytes`] still counts
 /// the full filter, so modelled control traffic is unchanged.
+///
+/// A request is immutable once built. The sender serves it many times (every
+/// peer-service tick until the next refresh), so on first use it caches its
+/// *wanted mask*: one bit per sequence number of `[low, high]`, set for the
+/// keys on the assigned row that the filter does not describe. Serving then
+/// ANDs that mask against the sender's working set word by word instead of
+/// probing the filter again. The mask depends on the request alone, never
+/// on the sender's holdings, and costs one bit per sequence number of the
+/// range (a receiver's working-set window).
 #[derive(Clone, Debug)]
 pub struct ReconcileRequest {
-    /// Bloom filter over the receiver's working set (shared across the
-    /// receiver's senders; see the type docs).
-    pub filter: Arc<BloomFilter>,
-    /// Lowest sequence number the receiver is still interested in.
-    pub low: u64,
-    /// Highest sequence number the receiver is interested in.
-    pub high: u64,
-    /// Total number of senders the receiver currently has (the number of
-    /// rows in its sequence matrix, Fig. 4).
-    pub stripe: u64,
-    /// The row of the matrix assigned to this sender: forward only keys with
-    /// `key % stripe == row`.
-    pub row: u64,
+    filter: Arc<BloomFilter>,
+    low: u64,
+    high: u64,
+    stripe: u64,
+    row: u64,
+    /// Wanted mask over `[low & !63, high]`, built on first use.
+    wanted: OnceLock<Box<[u64]>>,
 }
 
 impl ReconcileRequest {
@@ -56,7 +59,36 @@ impl ReconcileRequest {
             high,
             stripe,
             row: row % stripe,
+            wanted: OnceLock::new(),
         }
+    }
+
+    /// Bloom filter over the receiver's working set (shared across the
+    /// receiver's senders; see the type docs).
+    pub fn filter(&self) -> &Arc<BloomFilter> {
+        &self.filter
+    }
+
+    /// Lowest sequence number the receiver is still interested in.
+    pub fn low(&self) -> u64 {
+        self.low
+    }
+
+    /// Highest sequence number the receiver is interested in.
+    pub fn high(&self) -> u64 {
+        self.high
+    }
+
+    /// Total number of senders the receiver currently has (the number of
+    /// rows in its sequence matrix, Fig. 4).
+    pub fn stripe(&self) -> u64 {
+        self.stripe
+    }
+
+    /// The row of the matrix assigned to this sender: forward only keys with
+    /// `key % stripe == row`.
+    pub fn row(&self) -> u64 {
+        self.row
     }
 
     /// Whether `key` matches this request (in range, on the assigned row, and
@@ -66,6 +98,35 @@ impl ReconcileRequest {
             && key <= self.high
             && key % self.stripe == self.row
             && !self.filter.contains(key)
+    }
+
+    /// The wanted mask: bit `b` of word `i` is set when
+    /// `(low & !63) + 64 * i + b` is wanted (see [`Self::wants`]).
+    fn wanted(&self) -> &[u64] {
+        self.wanted.get_or_init(|| {
+            let base = self.low & !63;
+            let Some(span) = self.high.checked_sub(base) else {
+                return Box::default();
+            };
+            let words = usize::try_from(span / 64 + 1).expect("request range fits in memory");
+            let mut mask = vec![0u64; words];
+            // The first key at or above `low` on the assigned row.
+            let lag = self.low % self.stripe;
+            let skip = if self.row >= lag {
+                self.row - lag
+            } else {
+                self.stripe - (lag - self.row)
+            };
+            let mut key = self.low.checked_add(skip);
+            while let Some(k) = key.filter(|&k| k <= self.high) {
+                if !self.filter.contains(k) {
+                    let offset = k - base;
+                    mask[(offset / 64) as usize] |= 1u64 << (offset % 64);
+                }
+                key = k.checked_add(self.stripe);
+            }
+            mask.into_boxed_slice()
+        })
     }
 
     /// Wire size of the request in bytes: the Bloom filter plus range and
@@ -88,14 +149,21 @@ pub fn missing_keys(have: &WorkingSet, request: &ReconcileRequest, limit: usize)
 
 /// Iterator form of [`missing_keys`], for callers that stream the keys into
 /// a reusable buffer instead of allocating a fresh `Vec` per peer-service
-/// tick.
+/// tick. Yields the set bits of the request's wanted mask ANDed with `have`.
 pub fn missing_keys_iter<'a>(
     have: &'a WorkingSet,
     request: &'a ReconcileRequest,
     limit: usize,
 ) -> impl Iterator<Item = u64> + 'a {
-    have.iter_range(request.low, request.high)
-        .filter(move |&key| key % request.stripe == request.row && !request.filter.contains(key))
+    let base = request.low & !63;
+    request
+        .wanted()
+        .iter()
+        .enumerate()
+        .flat_map(move |(i, &wanted)| {
+            let word_base = base + 64 * i as u64;
+            SetBits::new(word_base, wanted & have.word(word_base))
+        })
         .take(limit)
 }
 
@@ -238,13 +306,13 @@ mod tests {
                 "wire size must count the full filter"
             );
             assert!(
-                Arc::ptr_eq(&req.filter, &filter),
+                Arc::ptr_eq(req.filter(), &filter),
                 "row {row} copied the filter"
             );
         }
         let cloned = rows[0].clone();
         assert!(
-            Arc::ptr_eq(&cloned.filter, &filter),
+            Arc::ptr_eq(cloned.filter(), &filter),
             "clone copied the filter"
         );
     }
@@ -252,8 +320,8 @@ mod tests {
     #[test]
     fn zero_stripe_is_coerced_to_one() {
         let request = ReconcileRequest::new(BloomFilter::new(64, 2), 0, 10, 0, 5);
-        assert_eq!(request.stripe, 1);
-        assert_eq!(request.row, 0);
+        assert_eq!(request.stripe(), 1);
+        assert_eq!(request.row(), 0);
         assert!(request.wants(3));
     }
 

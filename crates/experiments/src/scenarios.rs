@@ -983,47 +983,6 @@ pub(crate) fn overload_plan(scale: Scale, sweep: &Sweep) -> FigurePlan {
             s.ingress_sheds,
             unbounded.summary.ingress_peak_depth,
         ));
-        if std::env::var("BULLET_OVERLOAD_DEBUG").is_ok() {
-            for (b, u) in chunks[0].iter().zip(&chunks[1]) {
-                for (name, run) in [("bounded", b), ("unbounded", u)] {
-                    let mut per: Vec<f64> = members
-                        .iter()
-                        .map(|&n| member_goodput_kbps(run, &[n], storm_from, storm_to))
-                        .collect();
-                    per.sort_by(|a, b| a.partial_cmp(b).unwrap());
-                    figure.notes.push(format!(
-                        "debug per-member {name}: {}",
-                        per.iter()
-                            .map(|v| format!("{v:.0}"))
-                            .collect::<Vec<_>>()
-                            .join(" ")
-                    ));
-                }
-            }
-            for (name, run) in [("bounded", bounded), ("unbounded", unbounded)] {
-                let series: Vec<String> = (1..run.times.len())
-                    .map(|i| {
-                        let dt = (run.times[i] - run.times[i - 1]).max(1e-9);
-                        let rate: f64 = members
-                            .iter()
-                            .map(|&n| {
-                                run.per_node_fresh_bytes[i][n]
-                                    .saturating_sub(run.per_node_fresh_bytes[i - 1][n])
-                                    as f64
-                                    * 8.0
-                                    / dt
-                                    / 1_000.0
-                            })
-                            .sum::<f64>()
-                            / members.len() as f64;
-                        format!("{:.0}", rate)
-                    })
-                    .collect();
-                figure
-                    .notes
-                    .push(format!("debug member timely {name}: {}", series.join(" ")));
-            }
-        }
         if seeds > 1 {
             // Extra sweep seeds regenerate the storm under fresh RNG: show
             // the headline ratio's stability across them.

@@ -134,6 +134,11 @@ impl<T: Clone> RanSub<T> {
         self.state = state;
     }
 
+    /// This node's own state, as last set by [`Self::set_state`].
+    pub fn state(&self) -> &T {
+        &self.state
+    }
+
     /// Whether this node is the tree root.
     pub fn is_root(&self) -> bool {
         self.parent.is_none()

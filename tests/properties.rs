@@ -10,7 +10,9 @@
 use std::collections::BTreeSet;
 
 use bullet_suite::codec::{Framing, LtDecoder, LtEncoder, TornadoDecoder, TornadoEncoder};
-use bullet_suite::content::{BloomFilter, PermutationFamily, SummaryTicket, WorkingSet};
+use bullet_suite::content::{
+    missing_keys_iter, BloomFilter, PermutationFamily, ReconcileRequest, SummaryTicket, WorkingSet,
+};
 use bullet_suite::netsim::{LinkSpec, Network, NetworkSpec, RoutingMode, SimDuration, SimRng};
 use bullet_suite::overlay::{
     bottleneck_tree_with, overcast_tree_with, random_tree, OmbtConfig, OracleStrategy,
@@ -22,6 +24,10 @@ use bullet_suite::transport::tcp_throughput_bps;
 
 #[path = "support/routing_equiv.rs"]
 mod routing_equiv;
+#[path = "support/working_set_model.rs"]
+mod working_set_model;
+
+use working_set_model::ModelWorkingSet;
 
 const CASES: u64 = 64;
 
@@ -99,6 +105,143 @@ fn working_set_pruning_invariants() {
             }
         }
         assert!(ws.low_watermark() >= cutoff.min(ws.low_watermark().max(cutoff)));
+    }
+}
+
+/// Asserts that every observable of `ws` matches the reference `model`,
+/// probing `iter_range`/`missing_in_range` with random bounds (including
+/// `low > high` and bounds outside the window).
+fn assert_same_working_set(ws: &WorkingSet, model: &ModelWorkingSet, rng: &mut SimRng, at: &str) {
+    assert_eq!(ws.len(), model.len(), "{at}: len");
+    assert_eq!(ws.is_empty(), model.len() == 0, "{at}: is_empty");
+    assert_eq!(ws.min_seq(), model.min_seq(), "{at}: min_seq");
+    assert_eq!(ws.max_seq(), model.max_seq(), "{at}: max_seq");
+    assert_eq!(
+        ws.low_watermark(),
+        model.low_watermark(),
+        "{at}: low_watermark"
+    );
+    assert!(ws.iter().eq(model.iter()), "{at}: iter");
+    let bottom = model.low_watermark().saturating_sub(130);
+    let top = model.max_seq().unwrap_or(0) + 130;
+    for seq in bottom..top {
+        assert_eq!(
+            ws.contains(seq),
+            model.contains(seq),
+            "{at}: contains({seq})"
+        );
+    }
+    for _ in 0..8 {
+        let low = gen_range(rng, 0, top + 200);
+        let high = gen_range(rng, 0, top + 200);
+        assert_eq!(
+            ws.iter_range(low, high).collect::<Vec<u64>>(),
+            model.iter_range(low, high),
+            "{at}: iter_range({low}, {high})"
+        );
+        assert_eq!(
+            ws.missing_in_range(low, high),
+            model.missing_in_range(low, high),
+            "{at}: missing_in_range({low}, {high})"
+        );
+    }
+    assert_eq!(
+        ws.iter_range(bottom, u64::MAX).collect::<Vec<u64>>(),
+        model.iter_range(bottom, u64::MAX),
+        "{at}: iter_range to u64::MAX"
+    );
+}
+
+/// The bitmap working set behaves exactly like a plain ordered set with a
+/// watermark, step by step, under random inserts (in and out of order,
+/// with occasional jumps that leave empty words), watermark prunes and
+/// newest-`n` prunes (including `n == 0`).
+#[test]
+fn working_set_matches_the_btreeset_model() {
+    let mut rng = SimRng::new(0x5E7B);
+    for case in 0..CASES {
+        let mut ws = WorkingSet::new();
+        let mut model = ModelWorkingSet::default();
+        let mut head = gen_range(&mut rng, 0, 5_000);
+        for step in 0..150 {
+            let at = format!("case {case} step {step}");
+            match rng.next_u64() % 10 {
+                0..=5 => {
+                    head += gen_range(&mut rng, 0, 6);
+                    if rng.next_u64().is_multiple_of(40) {
+                        head += gen_range(&mut rng, 64, 700);
+                    }
+                    let seq = gen_range(&mut rng, head.saturating_sub(300), head + 20);
+                    assert_eq!(ws.insert(seq), model.insert(seq), "{at}: insert({seq})");
+                }
+                6 | 7 => {
+                    let low = gen_range(
+                        &mut rng,
+                        model.low_watermark().saturating_sub(50),
+                        head + 30,
+                    );
+                    ws.prune_below(low);
+                    model.prune_below(low);
+                }
+                _ => {
+                    let max_len = gen_range(&mut rng, 0, model.len() as u64 + 10) as usize;
+                    assert_eq!(
+                        ws.prune_to_len(max_len),
+                        model.prune_to_len(max_len),
+                        "{at}: prune_to_len({max_len})"
+                    );
+                }
+            }
+            assert_same_working_set(&ws, &model, &mut rng, &at);
+        }
+    }
+}
+
+/// The cached wanted mask reproduces the naive sender scan: the keys of
+/// `have` in the request's range, on its row, absent from its filter, in
+/// increasing order, truncated to the limit. One request is reused while
+/// `have` grows and is pruned between calls, so a mask that captured the
+/// sender's working set at first use would diverge.
+#[test]
+fn missing_keys_match_the_naive_scan() {
+    let mut rng = SimRng::new(0x3E5C);
+    for case in 0..CASES {
+        let receiver = gen_set(&mut rng, 0, 2_000, 0, 600);
+        // Small filters, so false positives hide some keys.
+        let mut filter = BloomFilter::new(gen_range(&mut rng, 256, 4_096) as usize, 3);
+        for &key in &receiver {
+            filter.insert(key);
+        }
+        let low = gen_range(&mut rng, 0, 1_500);
+        let high = gen_range(&mut rng, low, 2_100);
+        let stripe = gen_range(&mut rng, 0, 6);
+        let row = gen_range(&mut rng, 0, 8);
+        let request = ReconcileRequest::new(filter, low, high, stripe, row);
+        let mut have = WorkingSet::new();
+        for step in 0..40 {
+            let floor = have.low_watermark();
+            for _ in 0..gen_range(&mut rng, 0, 80) {
+                have.insert(gen_range(&mut rng, floor, floor + 700));
+            }
+            match rng.next_u64() % 4 {
+                0 => have.prune_below(gen_range(&mut rng, floor, floor + 100)),
+                1 => {
+                    have.prune_to_len(gen_range(&mut rng, 0, have.len() as u64 + 1) as usize);
+                }
+                _ => {}
+            }
+            let limit = match rng.next_u64() % 4 {
+                0 => usize::MAX,
+                _ => gen_range(&mut rng, 0, 300) as usize,
+            };
+            let expected: Vec<u64> = have
+                .iter_range(low, high)
+                .filter(|&key| request.wants(key))
+                .take(limit)
+                .collect();
+            let got: Vec<u64> = missing_keys_iter(&have, &request, limit).collect();
+            assert_eq!(got, expected, "case {case} step {step}");
+        }
     }
 }
 
