@@ -1,8 +1,8 @@
 //! Micro-benchmark of the routing strategies.
 //!
 //! Builds one transit-stub topology at the selected `BULLET_SCALE` and
-//! measures, for each routing mode (eager per-source Dijkstra, lazy
-//! bidirectional, lazy ALT):
+//! measures, for each routing mode (eager per-source Dijkstra, and the lazy
+//! forward search unguided and ALT-guided):
 //!
 //! - **setup**: network construction time (includes landmark preprocessing
 //!   for ALT — the only precomputation the lazy modes ever do);
@@ -99,11 +99,11 @@ fn measure_mode(
 
 fn check_equivalence(spec: &NetworkSpec, pairs: &[(usize, usize)]) {
     let mut eager = Network::with_routing(spec, RoutingMode::EagerPerSource);
-    let mut bidi = Network::with_routing(spec, RoutingMode::LazyBidirectional);
+    let mut plain = Network::with_routing(spec, RoutingMode::LazyAlt { landmarks: 0 });
     let mut alt = Network::with_routing(spec, RoutingMode::LazyAlt { landmarks: 8 });
     for &(a, b) in pairs.iter().take(50) {
         let reference = eager.path(a, b);
-        assert_eq!(reference, bidi.path(a, b), "bidirectional diverged");
+        assert_eq!(reference, plain.path(a, b), "unguided lazy search diverged");
         assert_eq!(reference, alt.path(a, b), "ALT diverged");
     }
 }
@@ -114,7 +114,7 @@ fn report(scale: Scale) -> (NetworkSpec, Vec<(usize, usize)>) {
     check_equivalence(&spec, &pairs);
     let modes = [
         (RoutingMode::EagerPerSource, "eager"),
-        (RoutingMode::LazyBidirectional, "bidir"),
+        (RoutingMode::LazyAlt { landmarks: 0 }, "alt0"),
         (RoutingMode::LazyAlt { landmarks: 8 }, "alt"),
     ];
     for (mode, name) in modes {

@@ -82,12 +82,11 @@ impl Scale {
 
     /// The routing strategy appropriate for this scale's topologies. Small
     /// and default topologies keep the eager per-source Dijkstra trees; the
-    /// paper's 20,000-router topologies use lazy landmark-guided
-    /// bidirectional search, so no figure ever precomputes 20k shortest-path
-    /// trees. `Sim::new` resolves the same choice automatically from the
-    /// router count ([`RoutingMode::auto`]); this accessor exists for
-    /// harnesses that construct networks explicitly. Paths are identical
-    /// across modes.
+    /// paper's 20,000-router topologies use lazy landmark-guided search,
+    /// so no figure ever precomputes 20k shortest-path trees. `Sim::new`
+    /// resolves the same choice automatically from the router count
+    /// ([`RoutingMode::auto`]); this accessor exists for harnesses that
+    /// construct networks explicitly. Paths are identical across modes.
     pub fn routing_mode(self) -> RoutingMode {
         match self {
             Scale::Small | Scale::Default => RoutingMode::EagerPerSource,

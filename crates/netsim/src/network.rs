@@ -346,7 +346,7 @@ enum RouteComputer {
         buf: Vec<DirectedLinkId>,
         trees_built: u64,
     },
-    /// Lazy bidirectional (optionally landmark-guided) point-to-point
+    /// Lazy goal-directed (optionally landmark-guided) point-to-point
     /// search; nothing per-source is ever materialized. Boxed: the router's
     /// workspace is much larger than the eager variant's three fields.
     Lazy(Box<LazyRouter>),
@@ -368,7 +368,8 @@ pub struct RoutingStats {
     pub trees_built: u64,
     /// Lazy point-to-point searches run.
     pub lazy_searches: u64,
-    /// Routers settled across all lazy searches.
+    /// Routers settled across all lazy searches, counting the routers each
+    /// point query's reverse reachability probe expands.
     pub routers_settled: u64,
     /// Landmark tables held by the lazy router.
     pub landmarks: usize,
@@ -706,9 +707,6 @@ impl Network {
                 buf: Vec::new(),
                 trees_built: 0,
             },
-            RoutingMode::LazyBidirectional => RouteComputer::Lazy(Box::new(
-                LazyRouter::with_landmarks(adjacency, Arc::new(Vec::new())),
-            )),
             RoutingMode::LazyAlt { landmarks } => {
                 RouteComputer::Lazy(Box::new(match shared_landmarks {
                     Some(tables) => LazyRouter::with_landmarks(adjacency, tables),
@@ -1519,22 +1517,22 @@ mod tests {
     fn all_routing_modes_return_identical_routes() {
         let spec = dumbbell();
         let mut eager = Network::with_routing(&spec, RoutingMode::EagerPerSource);
-        let mut bidi = Network::with_routing(&spec, RoutingMode::LazyBidirectional);
+        let mut plain = Network::with_routing(&spec, RoutingMode::LazyAlt { landmarks: 0 });
         let mut alt = Network::with_routing(&spec, RoutingMode::LazyAlt { landmarks: 2 });
         for (a, b) in [(0, 1), (1, 0)] {
             let reference = eager.path(a, b);
-            assert_eq!(reference, bidi.path(a, b));
+            assert_eq!(reference, plain.path(a, b));
             assert_eq!(reference, alt.path(a, b));
         }
         assert_eq!(eager.routing_stats().trees_built, 2);
-        assert_eq!(bidi.routing_stats().trees_built, 0);
-        assert_eq!(bidi.routing_stats().lazy_searches, 2);
+        assert_eq!(plain.routing_stats().trees_built, 0);
+        assert_eq!(plain.routing_stats().lazy_searches, 2);
         assert_eq!(alt.routing_stats().landmarks, 2);
     }
 
     #[test]
     fn routing_stats_count_cache_misses_only() {
-        let mut net = Network::with_routing(&dumbbell(), RoutingMode::LazyBidirectional);
+        let mut net = Network::with_routing(&dumbbell(), RoutingMode::LazyAlt { landmarks: 0 });
         net.route(0, 1);
         net.route(0, 1);
         net.route(0, 1);
@@ -1542,14 +1540,14 @@ mod tests {
         assert_eq!(stats.route_queries, 1, "repeat lookups hit the cache");
         assert_eq!(stats.lazy_searches, 1);
         assert!(stats.routers_settled > 0);
-        assert_eq!(stats.mode, RoutingMode::LazyBidirectional);
+        assert_eq!(stats.mode, RoutingMode::LazyAlt { landmarks: 0 });
     }
 
     #[test]
     fn batched_row_fill_matches_point_queries() {
         for mode in [
             RoutingMode::EagerPerSource,
-            RoutingMode::LazyBidirectional,
+            RoutingMode::LazyAlt { landmarks: 0 },
             RoutingMode::LazyAlt { landmarks: 2 },
         ] {
             let spec = dumbbell();
@@ -1581,7 +1579,7 @@ mod tests {
         spec.add_link(LinkSpec::new(0, 1, 10e6, SimDuration::from_millis(5)));
         spec.attach(0);
         spec.attach(2);
-        let mut net = Network::with_routing(&spec, RoutingMode::LazyBidirectional);
+        let mut net = Network::with_routing(&spec, RoutingMode::LazyAlt { landmarks: 0 });
         assert_eq!(net.route_batched(0, 1), None);
         let queries = net.routing_stats().route_queries;
         // Served from the memo: no further computation.
@@ -1622,7 +1620,7 @@ mod tests {
     fn link_down_invalidates_and_reroutes() {
         for mode in [
             RoutingMode::EagerPerSource,
-            RoutingMode::LazyBidirectional,
+            RoutingMode::LazyAlt { landmarks: 0 },
             RoutingMode::LazyAlt { landmarks: 2 },
         ] {
             let mut net = Network::with_routing(&diamond(), mode);
@@ -1649,13 +1647,13 @@ mod tests {
     #[test]
     fn mutated_network_routes_match_a_fresh_build() {
         let mut spec = diamond();
-        let mut net = Network::with_routing(&spec, RoutingMode::LazyBidirectional);
+        let mut net = Network::with_routing(&spec, RoutingMode::LazyAlt { landmarks: 0 });
         net.path(0, 1);
         net.set_link_up(1, false);
         net.set_link_delay(2, SimDuration::from_millis(1));
         spec.set_link_up(1, false);
         spec.set_link_delay(2, SimDuration::from_millis(1));
-        let mut fresh = Network::with_routing(&spec, RoutingMode::LazyBidirectional);
+        let mut fresh = Network::with_routing(&spec, RoutingMode::LazyAlt { landmarks: 0 });
         for (a, b) in [(0, 1), (1, 0)] {
             assert_eq!(net.path(a, b), fresh.path(a, b), "{a}->{b}");
         }
@@ -1768,7 +1766,7 @@ mod tests {
     fn rebuild_and_incremental_modes_serve_identical_routes() {
         for mode in [
             RoutingMode::EagerPerSource,
-            RoutingMode::LazyBidirectional,
+            RoutingMode::LazyAlt { landmarks: 0 },
             RoutingMode::LazyAlt { landmarks: 2 },
         ] {
             let mut inc = Network::with_routing(&diamond(), mode);
@@ -1878,7 +1876,7 @@ mod tests {
 
     #[test]
     fn routing_work_counters_accumulate_across_mutations() {
-        let mut net = Network::with_routing(&diamond(), RoutingMode::LazyBidirectional);
+        let mut net = Network::with_routing(&diamond(), RoutingMode::LazyAlt { landmarks: 0 });
         net.path(0, 1);
         let before = net.routing_stats();
         assert!(before.lazy_searches > 0);
@@ -1900,7 +1898,7 @@ mod tests {
         // harness's setup sharing.
         for mode in [
             RoutingMode::EagerPerSource,
-            RoutingMode::LazyBidirectional,
+            RoutingMode::LazyAlt { landmarks: 0 },
             RoutingMode::LazyAlt { landmarks: 2 },
         ] {
             let spec = diamond();

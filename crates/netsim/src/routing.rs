@@ -16,9 +16,20 @@
 //! graph is unique and every edge cost is at least 1 (as [`Network`]
 //! guarantees via `delay.as_micros().max(1)`), this predecessor chain is a
 //! pure function of the graph — both the eager reference Dijkstra
-//! ([`ShortestPaths`]) and the lazy bidirectional searches ([`LazyRouter`])
+//! ([`ShortestPaths`]) and the lazy goal-directed search ([`LazyRouter`])
 //! reproduce it hop for hop, which is what the routing-equivalence test
 //! harness in `tests/support/routing_equiv.rs` asserts.
+//!
+//! # Lazy search
+//!
+//! A lazy query is one forward A* search from the source, guided by the ALT
+//! landmark lower bound toward the destination, `π_t(v) = max_L |d_L(v) −
+//! d_L(t)|`. It stops once the destination is settled; the canonical path
+//! is then read off the exact forward distances, resuming the same search
+//! where a predecessor's tightness is still open. A bounded reverse probe
+//! from the destination refutes isolated destinations before the search
+//! starts. Batched one-to-many queries run the same search toward several
+//! targets at once.
 //!
 //! [`Network`]: crate::network::Network
 
@@ -36,19 +47,16 @@ pub enum RoutingMode {
     /// to everyone, but at paper scale (20k routers) each first contact
     /// costs a whole-graph scan and each source pins an O(routers) tree.
     EagerPerSource,
-    /// On-demand bidirectional Dijkstra per router pair: two frontiers grow
-    /// from source and destination and stop as soon as the best meeting
-    /// cost is proven optimal. Nothing is precomputed and only the routers
-    /// near the query are ever touched.
-    LazyBidirectional,
-    /// Bidirectional search guided by ALT (A*, landmarks, triangle
-    /// inequality) lower bounds. A handful of landmark distance tables are
-    /// built once (a few full Dijkstras); every query then prunes its
-    /// frontiers with the landmark potentials. Requires symmetric link
-    /// costs, which every [`NetworkSpec`](crate::network::NetworkSpec)-built
-    /// topology has.
+    /// On-demand search per router pair ([`LazyRouter`]): one forward A*
+    /// search from the source, guided by ALT (A*, landmarks, triangle
+    /// inequality) lower bounds toward the destination. A handful of
+    /// landmark distance tables are built once (a few full Dijkstras);
+    /// nothing per-source is precomputed and only the routers near the
+    /// query are touched. Requires symmetric link costs, which every
+    /// [`NetworkSpec`](crate::network::NetworkSpec)-built topology has.
     LazyAlt {
-        /// Number of landmarks (0 degenerates to plain bidirectional).
+        /// Number of landmarks (0 leaves the search unguided: a plain
+        /// Dijkstra that stops at the destination).
         landmarks: usize,
     },
 }
@@ -74,10 +82,10 @@ impl RoutingMode {
     }
 
     /// Resolves the mode for a topology of `routers` routers, honouring the
-    /// `BULLET_ROUTING` environment variable (`eager`, `bidir`, or `alt`)
-    /// and falling back to [`RoutingMode::auto`] when it is unset or empty.
-    /// All modes return identical canonical paths; the variable only
-    /// selects the computation strategy.
+    /// `BULLET_ROUTING` environment variable (`eager` or `alt`) and falling
+    /// back to [`RoutingMode::auto`] when it is unset or empty. Both modes
+    /// return identical canonical paths; the variable only selects the
+    /// computation strategy.
     ///
     /// # Panics
     ///
@@ -86,13 +94,12 @@ impl RoutingMode {
     pub fn resolve(routers: usize) -> RoutingMode {
         match std::env::var("BULLET_ROUTING").as_deref() {
             Ok("eager") => RoutingMode::EagerPerSource,
-            Ok("bidir") | Ok("bidirectional") | Ok("lazy") => RoutingMode::LazyBidirectional,
             Ok("alt") => RoutingMode::LazyAlt {
                 landmarks: Self::DEFAULT_LANDMARKS,
             },
             Ok("") | Err(_) => RoutingMode::auto(routers),
             Ok(other) => {
-                panic!("unrecognized BULLET_ROUTING value {other:?}: expected eager, bidir, or alt")
+                panic!("unrecognized BULLET_ROUTING value {other:?}: expected eager or alt")
             }
         }
     }
@@ -101,7 +108,6 @@ impl RoutingMode {
     pub fn name(self) -> &'static str {
         match self {
             RoutingMode::EagerPerSource => "eager-per-source",
-            RoutingMode::LazyBidirectional => "lazy-bidirectional",
             RoutingMode::LazyAlt { .. } => "lazy-alt",
         }
     }
@@ -109,7 +115,8 @@ impl RoutingMode {
 
 /// Adjacency representation used by the router: for each router, the list of
 /// `(neighbor, directed link id, cost)` edges leaving it, plus the mirrored
-/// in-edge lists the bidirectional searches walk.
+/// in-edge lists that canonical-path reconstruction and the reachability
+/// probe walk.
 #[derive(Clone, Debug, Default)]
 pub struct Adjacency {
     /// Out-edges: `edges[u]` holds `(v, link, cost)` for every edge `u → v`.
@@ -353,19 +360,11 @@ pub(crate) fn select_landmarks(adj: &Adjacency, count: usize) -> Vec<Vec<u64>> {
     tables
 }
 
-/// Adds a (possibly negative) potential to a scaled distance, clamping into
-/// `u64` key space. Valid labels never go negative (potentials are lower
-/// bounds), so the clamp only defends saturated sentinel arithmetic.
-#[inline]
-fn add_pot(d: u64, p: i64) -> u64 {
-    (d as i128 + p as i128).clamp(0, u64::MAX as i128) as u64
-}
-
-/// One frontier of a bidirectional search. All per-node arrays are stamped
-/// with the query epoch, so starting a new query is O(1) — no clearing.
+/// The forward search frontier. All per-node arrays are stamped with the
+/// query epoch, so starting a new query is O(1) — no clearing.
 #[derive(Debug)]
-struct SearchSide {
-    /// Tentative distance in *scaled* (doubled) cost units.
+struct Frontier {
+    /// Tentative distance from the query source.
     dist: Vec<u64>,
     /// Heap key (`dist + potential`) of the node's freshest heap entry.
     key: Vec<u64>,
@@ -376,20 +375,15 @@ struct SearchSide {
     heap: BinaryHeap<Reverse<(u64, u32)>>,
 }
 
-impl SearchSide {
+impl Frontier {
     fn new(n: usize) -> Self {
-        SearchSide {
+        Frontier {
             dist: vec![0; n],
             key: vec![0; n],
             stamp: vec![0; n],
             settled_at: vec![0; n],
             heap: BinaryHeap::new(),
         }
-    }
-
-    #[inline]
-    fn labeled(&self, epoch: u32, v: RouterId) -> bool {
-        self.stamp[v] == epoch
     }
 
     #[inline]
@@ -424,101 +418,32 @@ impl SearchSide {
     }
 }
 
-/// Per-query landmark potential cache. The potential `p(v) = π_t(v) −
-/// π_s(v)` (difference of the landmark lower bounds toward destination and
-/// source) is consistent for the forward search and, negated, for the
-/// backward search; working in doubled cost units keeps it integral.
-#[derive(Debug)]
-struct PotCache {
-    stamp: Vec<u32>,
-    val: Vec<i64>,
-    epoch: u32,
-    active: bool,
-    /// Landmark distances to the query source / destination.
-    at_src: Vec<u64>,
-    at_dst: Vec<u64>,
-}
-
-impl PotCache {
-    fn new(n: usize) -> Self {
-        PotCache {
-            stamp: vec![0; n],
-            val: vec![0; n],
-            epoch: 0,
-            active: false,
-            at_src: Vec::new(),
-            at_dst: Vec::new(),
-        }
-    }
-
-    fn begin(&mut self, epoch: u32, landmarks: &[Vec<u64>], src: RouterId, dst: RouterId) {
-        self.epoch = epoch;
-        self.active = !landmarks.is_empty();
-        self.at_src.clear();
-        self.at_dst.clear();
-        for table in landmarks {
-            self.at_src.push(table[src]);
-            self.at_dst.push(table[dst]);
-        }
-    }
-
-    /// The potential of `v` for the current query (0 without landmarks).
-    fn get(&mut self, landmarks: &[Vec<u64>], v: RouterId) -> i64 {
-        if !self.active {
-            return 0;
-        }
-        if self.stamp[v] == self.epoch {
-            return self.val[v];
-        }
-        let mut pi_dst = 0i64;
-        let mut pi_src = 0i64;
-        for (l, table) in landmarks.iter().enumerate() {
-            let dv = table[v];
-            if dv == u64::MAX {
-                continue; // landmark in another component: no bound
-            }
-            let dv = dv as i64;
-            let dt = self.at_dst[l];
-            if dt != u64::MAX {
-                pi_dst = pi_dst.max((dv - dt as i64).abs());
-            }
-            let ds = self.at_src[l];
-            if ds != u64::MAX {
-                pi_src = pi_src.max((dv - ds as i64).abs());
-            }
-        }
-        let p = pi_dst - pi_src;
-        self.stamp[v] = self.epoch;
-        self.val[v] = p;
-        p
-    }
-}
-
-/// Per-batch multi-target ALT potential for [`LazyRouter::paths_to_many`].
+/// Per-query ALT potential toward the query's targets.
 ///
-/// For a batched one-to-many query the forward search must settle *every*
-/// target, so the useful potential is a lower bound on the distance to the
-/// **nearest** target: `p(v) = max_L min_t |d_L(v) − d_L(t)|`. Each
-/// `|d_L(v) − d_L(t)|` is the standard ALT bound (consistent under the
-/// symmetric-cost assumption); taking `min` over targets and `max` over
-/// landmarks preserves consistency, and `p(t) = 0` at every target. The
-/// inner `min` is an `O(log targets)` binary search over the per-landmark
-/// sorted target distances, memoized per node per query epoch.
+/// The forward search must settle *every* target, so the useful potential is
+/// a lower bound on the distance to the **nearest** target: `p(v) = max_L
+/// min_t |d_L(v) − d_L(t)|`. Each `|d_L(v) − d_L(t)|` is the standard ALT
+/// bound (consistent under the symmetric-cost assumption); taking `min` over
+/// targets and `max` over landmarks preserves consistency, and `p(t) = 0` at
+/// every target. For a point-to-point [`LazyRouter::query`] this is the
+/// single-target bound `max_L |d_L(v) − d_L(t)|`. The inner `min` is an
+/// `O(log targets)` binary search over the per-landmark sorted target
+/// distances, memoized per node per query epoch.
 #[derive(Debug)]
-struct BatchPot {
+struct TargetPot {
     stamp: Vec<u32>,
     val: Vec<u64>,
     epoch: u32,
     active: bool,
-    /// Per landmark, the sorted distances from that landmark to every batch
-    /// target; empty when the landmark cannot bound this batch (some target
+    /// Per landmark, the sorted distances from that landmark to every query
+    /// target; empty when the landmark cannot bound this query (some target
     /// lies outside its component).
     sorted: Vec<Vec<u64>>,
 }
 
-impl BatchPot {
+impl TargetPot {
     fn new(n: usize) -> Self {
-        BatchPot {
+        TargetPot {
             stamp: vec![0; n],
             val: vec![0; n],
             epoch: 0,
@@ -552,7 +477,7 @@ impl BatchPot {
         }
     }
 
-    /// Lower bound on the distance from `v` to the nearest batch target
+    /// Lower bound on the distance from `v` to the nearest query target
     /// (0 without landmarks or for nodes a landmark cannot see).
     fn get(&mut self, landmarks: &[Vec<u64>], v: RouterId) -> u64 {
         if !self.active {
@@ -587,65 +512,6 @@ impl BatchPot {
     }
 }
 
-/// Which frontier an [`advance`] step grows.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Dir {
-    Forward,
-    Backward,
-}
-
-/// Settles the next node of `side`, relaxing its edges and tightening the
-/// meeting upper bound `mu` against the `other` side's labels. Returns the
-/// settled router, or `None` if the frontier is exhausted.
-#[allow(clippy::too_many_arguments)]
-fn advance(
-    epoch: u32,
-    adj: &Adjacency,
-    dir: Dir,
-    side: &mut SearchSide,
-    other: &SearchSide,
-    pot: &mut PotCache,
-    landmarks: &[Vec<u64>],
-    mu: &mut u64,
-    settled: &mut u64,
-) -> Option<RouterId> {
-    loop {
-        let Reverse((key, v32)) = side.heap.pop()?;
-        let v = v32 as usize;
-        if side.stamp[v] != epoch || side.settled_at[v] == epoch || key != side.key[v] {
-            continue; // stale entry
-        }
-        side.settled_at[v] = epoch;
-        *settled += 1;
-        let dv = side.dist[v];
-        if other.labeled(epoch, v) {
-            // Any label on the other side is the cost of a real path, so
-            // the sum is a valid upper bound on the s→t distance.
-            *mu = (*mu).min(dv.saturating_add(other.dist[v]));
-        }
-        let edges = match dir {
-            Dir::Forward => adj.neighbors(v),
-            Dir::Backward => adj.in_neighbors(v),
-        };
-        for &(u, _link, cost) in edges {
-            let nd = dv.saturating_add(cost.saturating_mul(2));
-            if other.labeled(epoch, u) {
-                *mu = (*mu).min(nd.saturating_add(other.dist[u]));
-            }
-            if side.improve(epoch, u, nd) {
-                let p = pot.get(landmarks, u);
-                let key = match dir {
-                    Dir::Forward => add_pot(nd, p),
-                    Dir::Backward => add_pot(nd, -p),
-                };
-                side.key[u] = key;
-                side.heap.push(Reverse((key, u as u32)));
-            }
-        }
-        return Some(v);
-    }
-}
-
 /// Counters describing the work a [`LazyRouter`] has done.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LazyRouterStats {
@@ -653,7 +519,8 @@ pub struct LazyRouterStats {
     pub searches: u64,
     /// Batched one-to-many searches run ([`LazyRouter::paths_to_many`]).
     pub batched: u64,
-    /// Routers settled across all searches and reconstruction resumes.
+    /// Routers settled across all searches, reconstruction resumes and
+    /// reachability probes.
     pub settled: u64,
     /// Landmark tables built at construction.
     pub landmarks: usize,
@@ -671,17 +538,20 @@ pub struct LandmarkRepair {
     pub nodes_lowered: u64,
 }
 
-/// On-demand point-to-point router: lazy bidirectional Dijkstra with an
-/// optional ALT (landmark) lower-bound mode.
+/// On-demand router: one goal-directed forward search per query, guided by
+/// optional ALT (landmark) lower bounds.
 ///
-/// A query grows a forward frontier from the source and a backward frontier
-/// from the destination until the best meeting cost `μ` is provably optimal
-/// (`top_f + top_b ≥ μ`), then reconstructs the *canonical* path (see the
-/// module docs) by walking tight in-edges back from the destination,
-/// resuming the forward search on demand where its ball has not yet proven
-/// or refuted tightness. All distances run in doubled cost units so the
-/// landmark potentials stay integral; all per-node state is epoch-stamped so
-/// a query does no O(routers) clearing.
+/// [`LazyRouter::query`] (one destination) and [`LazyRouter::paths_to_many`]
+/// (many) run the same A* search: a frontier grows from the source, keyed by
+/// distance plus the consistent `TargetPot` lower bound toward the
+/// targets, until every target is settled. The *canonical* path (see the
+/// module docs) is then rebuilt by walking tight in-edges back from each
+/// target, resuming the search on demand where its ball has not yet proven
+/// or refuted tightness. Before searching, `query` runs a bounded reverse
+/// reachability probe from the destination, so an isolated destination
+/// (say, behind a downed router) is refuted without settling the source's
+/// whole component. All per-node state is epoch-stamped, so a query does no
+/// O(routers) clearing.
 ///
 /// The ALT potentials assume symmetric edge costs (`cost(u→v) == cost(v→u)`),
 /// which holds for every topology built from a `NetworkSpec`.
@@ -694,26 +564,28 @@ pub struct LazyRouter {
     /// per table at paper scale), so parallel experiment harnesses build
     /// them once per topology and hand every per-run router the same `Arc`.
     landmark_dists: Arc<Vec<Vec<u64>>>,
-    fwd: SearchSide,
-    bwd: SearchSide,
-    pot: PotCache,
-    path_buf: Vec<DirectedLinkId>,
-    rev_buf: Vec<DirectedLinkId>,
-    searches: u64,
-    settled: u64,
-    // Batched one-to-many state (see `paths_to_many`). All arrays are
-    // epoch-stamped like the search sides, so a batch query is O(1) to begin.
-    batch_pot: BatchPot,
-    /// Marks the routers that are targets of the current batch query.
+    fwd: Frontier,
+    pot: TargetPot,
+    /// Marks the routers that are targets of the current query.
     target_stamp: Vec<u32>,
-    /// Memoized canonical predecessor per node per batch epoch, so targets
+    /// Memoized canonical predecessor per node per query epoch, so targets
     /// sharing a path suffix walk it once.
     canon_stamp: Vec<u32>,
     canon_prev: Vec<(RouterId, DirectedLinkId)>,
+    /// Routers reached by the current query's reachability probe.
+    probe_stamp: Vec<u32>,
+    probe_queue: Vec<RouterId>,
+    path_buf: Vec<DirectedLinkId>,
+    searches: u64,
     batched: u64,
+    settled: u64,
 }
 
 impl LazyRouter {
+    /// Most routers the reverse reachability probe of [`LazyRouter::query`]
+    /// expands before handing the question to the forward search.
+    pub const PROBE_ROUTERS: usize = 64;
+
     /// Builds a lazy router over `adj`. `landmarks > 0` precomputes that
     /// many farthest-point landmark distance tables (a few full Dijkstras —
     /// the only precomputation; nothing per-source is ever built).
@@ -723,9 +595,9 @@ impl LazyRouter {
 
     /// Builds a lazy router over `adj` reusing already-computed landmark
     /// distance tables (see [`LazyRouter::new`]; pass an empty vector for
-    /// plain bidirectional search). The tables must have been computed over
-    /// the same graph, or lower bounds — and therefore paths — would be
-    /// wrong. The per-query workspace is private to this router; only the
+    /// an unguided search). The tables must have been computed over the
+    /// same graph, or lower bounds — and therefore paths — would be wrong.
+    /// The per-query workspace is private to this router; only the
     /// immutable tables are shared.
     pub fn with_landmarks(adj: &Adjacency, tables: Arc<Vec<Vec<u64>>>) -> Self {
         let n = adj.len();
@@ -739,18 +611,17 @@ impl LazyRouter {
         LazyRouter {
             epoch: 0,
             landmark_dists: tables,
-            fwd: SearchSide::new(n),
-            bwd: SearchSide::new(n),
-            pot: PotCache::new(n),
-            path_buf: Vec::new(),
-            rev_buf: Vec::new(),
-            searches: 0,
-            settled: 0,
-            batch_pot: BatchPot::new(n),
+            fwd: Frontier::new(n),
+            pot: TargetPot::new(n),
             target_stamp: vec![0; n],
             canon_stamp: vec![0; n],
             canon_prev: vec![(0, 0); n],
+            probe_stamp: vec![0; n],
+            probe_queue: Vec::new(),
+            path_buf: Vec::new(),
+            searches: 0,
             batched: 0,
+            settled: 0,
         }
     }
 
@@ -853,6 +724,9 @@ impl LazyRouter {
     /// its cost and directed link sequence (borrowed from an internal
     /// buffer), or `None` if unreachable. Identical to
     /// [`ShortestPaths::path_to`] on the same graph.
+    ///
+    /// This is the single-target case of [`LazyRouter::paths_to_many`]'s
+    /// forward search, preceded by the reverse reachability probe.
     pub fn query(
         &mut self,
         adj: &Adjacency,
@@ -864,165 +738,30 @@ impl LazyRouter {
             return Some((0, &self.path_buf));
         }
         self.searches += 1;
-        self.epoch = self.epoch.checked_add(1).expect("routing epoch overflow");
-        let epoch = self.epoch;
-        self.pot.begin(epoch, &self.landmark_dists, src, dst);
-        self.fwd.heap.clear();
-        self.bwd.heap.clear();
-
-        let ps = self.pot.get(&self.landmark_dists, src);
-        self.fwd.improve(epoch, src, 0);
-        self.fwd.key[src] = add_pot(0, ps);
-        self.fwd.heap.push(Reverse((self.fwd.key[src], src as u32)));
-        let pd = self.pot.get(&self.landmark_dists, dst);
-        self.bwd.improve(epoch, dst, 0);
-        self.bwd.key[dst] = add_pot(0, -pd);
-        self.bwd.heap.push(Reverse((self.bwd.key[dst], dst as u32)));
-
-        // Phase 1: alternate the cheaper frontier until the meeting bound
-        // is proven optimal. With consistent potentials the per-node keys
-        // satisfy `true_dist(v) + p(v) ≥ top`, so once `top_f + top_b ≥ μ`
-        // no untouched node can lie on a cheaper path (the potentials
-        // cancel in the sum).
-        let mut mu = u64::MAX;
-        loop {
-            let kf = self.fwd.peek_fresh(epoch);
-            let kb = self.bwd.peek_fresh(epoch);
-            if mu == u64::MAX {
-                // A frontier exhausted before the searches met: if the
-                // destination were reachable it would have been settled (and
-                // μ set) by the exhausted side.
-                if kf.is_none() || kb.is_none() {
-                    return None;
-                }
-            } else if kf
-                .unwrap_or(u64::MAX)
-                .saturating_add(kb.unwrap_or(u64::MAX))
-                >= mu
-            {
-                break;
-            }
-            if kf.unwrap_or(u64::MAX) <= kb.unwrap_or(u64::MAX) {
-                advance(
-                    epoch,
-                    adj,
-                    Dir::Forward,
-                    &mut self.fwd,
-                    &self.bwd,
-                    &mut self.pot,
-                    &self.landmark_dists,
-                    &mut mu,
-                    &mut self.settled,
-                );
-            } else {
-                advance(
-                    epoch,
-                    adj,
-                    Dir::Backward,
-                    &mut self.bwd,
-                    &self.fwd,
-                    &mut self.pot,
-                    &self.landmark_dists,
-                    &mut mu,
-                    &mut self.settled,
-                );
-            }
+        self.next_epoch();
+        if !self.probe_may_reach(adj, src, dst) {
+            return None;
         }
-
-        // Phase 2: canonical reconstruction. Walk back from the destination
-        // choosing, at every node, the tight in-edge with the smallest link
-        // id — exactly the reference Dijkstra's tie-break. Tightness of an
-        // in-neighbor is decided from forward distances, resuming the
-        // forward search just far enough to settle the neighbor or to prove
-        // its true distance exceeds the target.
-        let mut rev = std::mem::take(&mut self.rev_buf);
-        rev.clear();
-        let mut v = dst;
-        let mut dv = mu;
-        while v != src {
-            let mut best: Option<(DirectedLinkId, RouterId, u64)> = None;
-            for &(u, link, cost) in adj.in_neighbors(v) {
-                if let Some((best_link, _, _)) = best {
-                    if link >= best_link {
-                        continue; // only a smaller link id can win
-                    }
-                }
-                let step = cost.saturating_mul(2);
-                if step > dv {
-                    continue;
-                }
-                let target = dv - step;
-                if self.forward_dist_equals(adj, u, target, &mut mu) {
-                    best = Some((link, u, target));
-                }
-            }
-            let (link, u, target) =
-                best.expect("a shortest path always has a tight canonical predecessor");
-            rev.push(link);
-            v = u;
-            dv = target;
+        self.search(adj, src, &[dst]);
+        if !self.fwd.settled(self.epoch, dst) {
+            return None;
         }
-        self.path_buf.extend(rev.iter().rev());
-        self.rev_buf = rev;
-        Some((mu / 2, &self.path_buf))
-    }
-
-    /// Whether the true forward (scaled) distance of `u` equals `target`,
-    /// resuming the forward search as needed. Sound because an unsettled
-    /// node's true key is bounded below by the frontier top, and no node on
-    /// a shortest path can be *closer* than its target (that would shorten
-    /// the path).
-    fn forward_dist_equals(
-        &mut self,
-        adj: &Adjacency,
-        u: RouterId,
-        target: u64,
-        mu: &mut u64,
-    ) -> bool {
-        let epoch = self.epoch;
-        loop {
-            if self.fwd.settled(epoch, u) {
-                return self.fwd.dist[u] == target;
-            }
-            let Some(kf) = self.fwd.peek_fresh(epoch) else {
-                return false; // frontier exhausted: u is unreachable
-            };
-            let pu = self.pot.get(&self.landmark_dists, u);
-            if kf > add_pot(target, pu) {
-                return false; // true dist of u provably exceeds target
-            }
-            advance(
-                epoch,
-                adj,
-                Dir::Forward,
-                &mut self.fwd,
-                &self.bwd,
-                &mut self.pot,
-                &self.landmark_dists,
-                mu,
-                &mut self.settled,
-            );
-        }
+        self.build_path(adj, src, dst);
+        Some((self.fwd.dist[dst], &self.path_buf))
     }
 
     /// Batched one-to-many query: computes the canonical shortest path from
     /// `src` to every router in `targets` with a **single** forward search,
     /// early-terminating once every target is settled.
     ///
-    /// The search is a plain forward Dijkstra (unscaled costs) guided, in ALT
-    /// mode, by the multi-target lower bound of [`BatchPot`] — a consistent
-    /// potential, so every popped node's distance is final and the paths are
-    /// exactly the canonical ones the pairwise [`LazyRouter::query`] and the
-    /// eager [`ShortestPaths`] return. `emit(i, result)` is called once per
-    /// target index, in order; the result is `None` for unreachable targets
-    /// and otherwise the cost plus the link sequence (borrowed from an
-    /// internal buffer, valid for the duration of the callback).
-    ///
-    /// Reconstruction walks tight in-edges back from each target (smallest
-    /// link id wins, as everywhere), resuming the forward search on demand
-    /// where the early-terminated ball has not yet proven or refuted
-    /// tightness; the canonical predecessor of each node is memoized per
-    /// query, so targets sharing a path suffix walk it once.
+    /// The search is a forward Dijkstra guided, in ALT mode, by the
+    /// multi-target lower bound of `TargetPot` — a consistent potential,
+    /// so every popped node's distance is final and the paths are exactly
+    /// the canonical ones [`ShortestPaths`] returns. `emit(i, result)` is
+    /// called once per target index, in order; the result is `None` for
+    /// unreachable targets and otherwise the cost plus the link sequence
+    /// (borrowed from an internal buffer, valid for the duration of the
+    /// callback).
     pub fn paths_to_many(
         &mut self,
         adj: &Adjacency,
@@ -1034,17 +773,64 @@ impl LazyRouter {
             return;
         }
         self.batched += 1;
+        self.next_epoch();
+        self.search(adj, src, targets);
+        for (i, &t) in targets.iter().enumerate() {
+            if !self.fwd.settled(self.epoch, t) {
+                emit(i, None);
+                continue;
+            }
+            self.build_path(adj, src, t);
+            emit(i, Some((self.fwd.dist[t], &self.path_buf)));
+        }
+    }
+
+    fn next_epoch(&mut self) {
         self.epoch = self.epoch.checked_add(1).expect("routing epoch overflow");
+    }
+
+    /// Reverse reachability probe: a breadth-first walk from `dst` over
+    /// in-edges that expands at most [`LazyRouter::PROBE_ROUTERS`] routers
+    /// (each counted as settled). Returns `false` only when the walk
+    /// exhausts every router that can reach `dst` without meeting `src` —
+    /// a proof that `dst` is unreachable. Meeting `src` or hitting the cap
+    /// leaves the answer to the forward search.
+    fn probe_may_reach(&mut self, adj: &Adjacency, src: RouterId, dst: RouterId) -> bool {
         let epoch = self.epoch;
-        self.batch_pot.begin(epoch, &self.landmark_dists, targets);
+        self.probe_queue.clear();
+        self.probe_queue.push(dst);
+        self.probe_stamp[dst] = epoch;
+        let mut head = 0;
+        while let Some(&v) = self.probe_queue.get(head) {
+            if head == Self::PROBE_ROUTERS {
+                return true;
+            }
+            head += 1;
+            self.settled += 1;
+            for &(u, _link, _cost) in adj.in_neighbors(v) {
+                if u == src {
+                    return true;
+                }
+                if self.probe_stamp[u] != epoch {
+                    self.probe_stamp[u] = epoch;
+                    self.probe_queue.push(u);
+                }
+            }
+        }
+        false
+    }
+
+    /// Runs the current epoch's forward search from `src` until every
+    /// router in `targets` is settled, or the frontier is exhausted (leaving
+    /// the rest provably unreachable).
+    fn search(&mut self, adj: &Adjacency, src: RouterId, targets: &[RouterId]) {
+        let epoch = self.epoch;
+        self.pot.begin(epoch, &self.landmark_dists, targets);
         self.fwd.heap.clear();
         self.fwd.improve(epoch, src, 0);
-        let ps = self.batch_pot.get(&self.landmark_dists, src);
+        let ps = self.pot.get(&self.landmark_dists, src);
         self.fwd.key[src] = ps;
         self.fwd.heap.push(Reverse((ps, src as u32)));
-
-        // Phase 1: settle until every distinct target is settled (or the
-        // frontier is exhausted, leaving the rest provably unreachable).
         let mut remaining = 0usize;
         for &t in targets {
             if self.target_stamp[t] != epoch {
@@ -1053,38 +839,18 @@ impl LazyRouter {
             }
         }
         while remaining > 0 {
-            let Some(v) = self.batch_advance(adj) else {
+            let Some(v) = self.advance(adj) else {
                 break;
             };
             if self.target_stamp[v] == epoch {
                 remaining -= 1;
             }
         }
-
-        // Phase 2: canonical reconstruction per target.
-        let mut rev = std::mem::take(&mut self.rev_buf);
-        for (i, &t) in targets.iter().enumerate() {
-            if !self.fwd.settled(epoch, t) {
-                emit(i, None);
-                continue;
-            }
-            rev.clear();
-            let mut v = t;
-            while v != src {
-                let (u, link) = self.batch_canonical_prev(adj, v);
-                rev.push(link);
-                v = u;
-            }
-            self.path_buf.clear();
-            self.path_buf.extend(rev.iter().rev());
-            emit(i, Some((self.fwd.dist[t], &self.path_buf)));
-        }
-        self.rev_buf = rev;
     }
 
-    /// Settles the next node of the batched forward search, or `None` once
-    /// the frontier is exhausted.
-    fn batch_advance(&mut self, adj: &Adjacency) -> Option<RouterId> {
+    /// Settles the next node of the forward search, or `None` once the
+    /// frontier is exhausted.
+    fn advance(&mut self, adj: &Adjacency) -> Option<RouterId> {
         let epoch = self.epoch;
         loop {
             let Reverse((key, v32)) = self.fwd.heap.pop()?;
@@ -1101,7 +867,7 @@ impl LazyRouter {
             for &(u, _link, cost) in adj.neighbors(v) {
                 let nd = dv.saturating_add(cost);
                 if self.fwd.improve(epoch, u, nd) {
-                    let p = self.batch_pot.get(&self.landmark_dists, u);
+                    let p = self.pot.get(&self.landmark_dists, u);
                     let key = nd.saturating_add(p);
                     self.fwd.key[u] = key;
                     self.fwd.heap.push(Reverse((key, u as u32)));
@@ -1111,9 +877,23 @@ impl LazyRouter {
         }
     }
 
-    /// The canonical predecessor (tight in-edge with the smallest link id) of
-    /// a settled node `v` in the current batch search, memoized per epoch.
-    fn batch_canonical_prev(&mut self, adj: &Adjacency, v: RouterId) -> (RouterId, DirectedLinkId) {
+    /// Writes the canonical path from `src` to the settled router `t` into
+    /// `path_buf`, walking canonical predecessors back from `t`.
+    fn build_path(&mut self, adj: &Adjacency, src: RouterId, t: RouterId) {
+        self.path_buf.clear();
+        let mut v = t;
+        while v != src {
+            let (u, link) = self.canonical_prev(adj, v);
+            self.path_buf.push(link);
+            v = u;
+        }
+        self.path_buf.reverse();
+    }
+
+    /// The canonical predecessor (tight in-edge with the smallest link id,
+    /// exactly the reference Dijkstra's tie-break) of a settled node `v` in
+    /// the current search, memoized per epoch.
+    fn canonical_prev(&mut self, adj: &Adjacency, v: RouterId) -> (RouterId, DirectedLinkId) {
         if self.canon_stamp[v] == self.epoch {
             return self.canon_prev[v];
         }
@@ -1128,7 +908,7 @@ impl LazyRouter {
             if cost > dv {
                 continue;
             }
-            if self.batch_dist_equals(adj, u, dv - cost) {
+            if self.dist_equals(adj, u, dv - cost) {
                 best = Some((link, u));
             }
         }
@@ -1138,11 +918,12 @@ impl LazyRouter {
         (u, link)
     }
 
-    /// Whether the true forward distance of `u` in the batch search equals
-    /// `target`, resuming the search as needed. Sound because the batch
-    /// potential is consistent: an unsettled node's final key (`dist + p`)
-    /// is bounded below by the current frontier top.
-    fn batch_dist_equals(&mut self, adj: &Adjacency, u: RouterId, target: u64) -> bool {
+    /// Whether the true forward distance of `u` equals `target`, resuming
+    /// the search as needed. Sound because the potential is consistent: an
+    /// unsettled node's final key (`dist + p`) is bounded below by the
+    /// current frontier top, and no node on a shortest path can be *closer*
+    /// than its target (that would shorten the path).
+    fn dist_equals(&mut self, adj: &Adjacency, u: RouterId, target: u64) -> bool {
         let epoch = self.epoch;
         loop {
             if self.fwd.settled(epoch, u) {
@@ -1151,11 +932,11 @@ impl LazyRouter {
             let Some(top) = self.fwd.peek_fresh(epoch) else {
                 return false; // frontier exhausted: u is unreachable
             };
-            let pu = self.batch_pot.get(&self.landmark_dists, u);
+            let pu = self.pot.get(&self.landmark_dists, u);
             if top > target.saturating_add(pu) {
                 return false; // true dist of u provably exceeds target
             }
-            self.batch_advance(adj);
+            self.advance(adj);
         }
     }
 }
@@ -1172,6 +953,32 @@ mod tests {
         for i in 0..n - 1 {
             adj.add_edge(i, i + 1, 2 * i, 1);
             adj.add_edge(i + 1, i, 2 * i + 1, 1);
+        }
+        adj
+    }
+
+    /// A random symmetric graph of 8–47 routers with tiny integer costs
+    /// (maximally tie-heavy): a ring keeps most of it connected, chords add
+    /// ties.
+    fn tie_heavy_graph(rng: &mut SimRng) -> Adjacency {
+        let n = 8 + (rng.next_u64() % 40) as usize;
+        let mut adj = Adjacency::new(n);
+        let mut next_link = 0;
+        let mut add = |adj: &mut Adjacency, a: usize, b: usize, cost: u64| {
+            adj.add_edge(a, b, next_link, cost);
+            adj.add_edge(b, a, next_link + 1, cost);
+            next_link += 2;
+        };
+        for i in 0..n {
+            let cost = 1 + rng.next_u64() % 3;
+            add(&mut adj, i, (i + 1) % n, cost);
+        }
+        for _ in 0..n {
+            let a = (rng.next_u64() % n as u64) as usize;
+            let b = (rng.next_u64() % n as u64) as usize;
+            if a != b {
+                add(&mut adj, a, b, 1 + rng.next_u64() % 3);
+            }
         }
         adj
     }
@@ -1229,7 +1036,8 @@ mod tests {
         // Two equal-cost paths 0→1→3 (links 0,4) and 0→2→3 (links 2,6).
         // The canonical rule (smallest tight in-link at every node, walking
         // back from the destination) picks link 4 into node 3, so the route
-        // is [0, 4] — for the reference and both lazy modes.
+        // is [0, 4] — for the reference and the lazy router with and without
+        // landmarks.
         let mut adj = Adjacency::new(4);
         adj.add_edge(0, 1, 0, 1);
         adj.add_edge(1, 0, 1, 1);
@@ -1241,46 +1049,28 @@ mod tests {
         adj.add_edge(3, 2, 7, 1);
         let sp = ShortestPaths::compute(&adj, 0);
         assert_eq!(sp.path_to(3), Some(vec![0, 4]));
-        let mut bidi = LazyRouter::new(&adj, 0);
-        assert_eq!(bidi.query(&adj, 0, 3).unwrap(), (2, &[0, 4][..]));
+        let mut plain = LazyRouter::new(&adj, 0);
+        assert_eq!(plain.query(&adj, 0, 3).unwrap(), (2, &[0, 4][..]));
         let mut alt = LazyRouter::new(&adj, 3);
         assert_eq!(alt.query(&adj, 0, 3).unwrap(), (2, &[0, 4][..]));
     }
 
     /// Random symmetric graphs with tiny integer costs (maximally tie-heavy)
-    /// must give identical paths from the reference and both lazy modes,
-    /// for every pair.
+    /// must give identical paths from the reference and the lazy router
+    /// with and without landmarks, for every pair.
     #[test]
     fn lazy_matches_reference_on_random_tie_heavy_graphs() {
         let mut rng = SimRng::new(0xD1785);
         for case in 0..30 {
-            let n = 8 + (rng.next_u64() % 40) as usize;
-            let mut adj = Adjacency::new(n);
-            let mut next_link = 0;
-            let mut add = |adj: &mut Adjacency, a: usize, b: usize, cost: u64| {
-                adj.add_edge(a, b, next_link, cost);
-                adj.add_edge(b, a, next_link + 1, cost);
-                next_link += 2;
-            };
-            // A ring keeps most of the graph connected, chords add ties.
-            for i in 0..n {
-                let cost = 1 + rng.next_u64() % 3;
-                add(&mut adj, i, (i + 1) % n, cost);
-            }
-            for _ in 0..n {
-                let a = (rng.next_u64() % n as u64) as usize;
-                let b = (rng.next_u64() % n as u64) as usize;
-                if a != b {
-                    add(&mut adj, a, b, 1 + rng.next_u64() % 3);
-                }
-            }
-            let mut bidi = LazyRouter::new(&adj, 0);
+            let adj = tie_heavy_graph(&mut rng);
+            let n = adj.len();
+            let mut plain = LazyRouter::new(&adj, 0);
             let mut alt = LazyRouter::new(&adj, 3);
             for src in 0..n {
                 let sp = ShortestPaths::compute(&adj, src);
                 for dst in 0..n {
                     let reference = sp.path_to(dst);
-                    let lazy = bidi.query(&adj, src, dst).map(|(c, p)| (c, p.to_vec()));
+                    let lazy = plain.query(&adj, src, dst).map(|(c, p)| (c, p.to_vec()));
                     let guided = alt.query(&adj, src, dst).map(|(c, p)| (c, p.to_vec()));
                     match reference {
                         None => {
@@ -1291,7 +1081,7 @@ mod tests {
                             let (lc, lp) = lazy.expect("reachable");
                             let (gc, gp) = guided.expect("reachable");
                             assert_eq!(lc, sp.cost_to(dst).unwrap(), "case {case}");
-                            assert_eq!(lp, path, "case {case}: {src}->{dst} bidi");
+                            assert_eq!(lp, path, "case {case}: {src}->{dst} plain");
                             assert_eq!(gc, lc, "case {case}");
                             assert_eq!(gp, path, "case {case}: {src}->{dst} alt");
                         }
@@ -1377,30 +1167,14 @@ mod tests {
     }
 
     /// The batched one-to-many query must return bit-identical canonical
-    /// paths to the eager reference (and hence to the pairwise lazy modes)
+    /// paths to the eager reference (and hence to the pairwise lazy query)
     /// on tie-heavy random graphs, with and without landmarks.
     #[test]
     fn batched_paths_match_reference_on_random_tie_heavy_graphs() {
         let mut rng = SimRng::new(0xBA7C4);
         for case in 0..20 {
-            let n = 8 + (rng.next_u64() % 40) as usize;
-            let mut adj = Adjacency::new(n);
-            let mut next_link = 0;
-            let mut add = |adj: &mut Adjacency, a: usize, b: usize, cost: u64| {
-                adj.add_edge(a, b, next_link, cost);
-                adj.add_edge(b, a, next_link + 1, cost);
-                next_link += 2;
-            };
-            for i in 0..n {
-                add(&mut adj, i, (i + 1) % n, 1 + rng.next_u64() % 3);
-            }
-            for _ in 0..n {
-                let a = (rng.next_u64() % n as u64) as usize;
-                let b = (rng.next_u64() % n as u64) as usize;
-                if a != b {
-                    add(&mut adj, a, b, 1 + rng.next_u64() % 3);
-                }
-            }
+            let adj = tie_heavy_graph(&mut rng);
+            let n = adj.len();
             let targets: Vec<RouterId> = (0..n).collect();
             let mut plain = LazyRouter::new(&adj, 0);
             let mut alt = LazyRouter::new(&adj, 3);
@@ -1414,6 +1188,58 @@ mod tests {
                     assert_eq!(got_alt[dst], reference, "case {case}: {src}->{dst} alt");
                 }
             }
+        }
+    }
+
+    /// A point-to-point query is the single-target case of the batched
+    /// search: both must return the same cost and link sequence for every
+    /// pair, with and without landmarks.
+    #[test]
+    fn query_matches_a_single_target_batch_on_random_tie_heavy_graphs() {
+        let mut rng = SimRng::new(0x51_9A7);
+        for case in 0..20 {
+            let adj = tie_heavy_graph(&mut rng);
+            let n = adj.len();
+            for landmarks in [0, 3] {
+                let mut pairwise = LazyRouter::new(&adj, landmarks);
+                let mut batched = LazyRouter::new(&adj, landmarks);
+                for src in 0..n {
+                    for dst in 0..n {
+                        let got = pairwise.query(&adj, src, dst).map(|(c, p)| (c, p.to_vec()));
+                        let want = batch(&mut batched, &adj, src, &[dst]).remove(0);
+                        assert_eq!(got, want, "case {case}: {src}->{dst} landmarks {landmarks}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The reverse probe refutes a destination whose in-edges are gone
+    /// without a forward search; one whose in-component is larger than the
+    /// probe is still refuted, by the forward search exhausting.
+    #[test]
+    fn unreachable_destinations_are_refuted() {
+        // Line 0..=99, a separate line 100..=299, and an isolated router 300.
+        let mut adj = Adjacency::new(301);
+        let mut link = 0;
+        for i in (0..99).chain(100..299) {
+            adj.add_edge(i, i + 1, link, 1);
+            adj.add_edge(i + 1, i, link + 1, 1);
+            link += 2;
+        }
+        for landmarks in [0, 2] {
+            let mut lazy = LazyRouter::new(&adj, landmarks);
+            assert!(lazy.query(&adj, 0, 300).is_none());
+            assert_eq!(lazy.stats().settled, 1, "landmarks {landmarks}");
+            let before = lazy.stats().settled;
+            assert!(lazy.query(&adj, 0, 250).is_none());
+            let probe_and_search = lazy.stats().settled - before;
+            assert_eq!(
+                probe_and_search,
+                (LazyRouter::PROBE_ROUTERS + 100) as u64,
+                "landmarks {landmarks}: capped probe plus the exhausted component"
+            );
+            assert_eq!(lazy.stats().searches, 2);
         }
     }
 

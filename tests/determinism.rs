@@ -241,11 +241,12 @@ fn overload_64_is_deterministic_across_runs() {
 
 /// The `BULLET_SCALE=paper` smoke run: 256 Bullet nodes streaming for a few
 /// simulated seconds over a ≥20,000-router paper-class topology, routed by
-/// lazy landmark-guided bidirectional search. The goldens below were
-/// captured with `examples/paper_smoke_probe.rs`; because every route is
-/// canonical, route-computation order can never leak into these values —
-/// any divergence means the lazy router (or the simulator) changed
-/// behaviour.
+/// lazy landmark-guided forward search. The goldens below were captured
+/// with `examples/paper_smoke_probe.rs`; because every route is canonical,
+/// route-computation order can never leak into these values — any
+/// divergence means the lazy router (or the simulator) changed behaviour.
+/// `routers_settled` is a work count, not an output: it moves whenever the
+/// search strategy does, while routes and every other value stay put.
 #[test]
 fn paper_scale_smoke_matches_golden_run() {
     let (counters, digest, bytes_sent, routing) = paper_smoke::fingerprint();
@@ -265,6 +266,6 @@ fn paper_scale_smoke_matches_golden_run() {
     assert_eq!(routing.trees_built, 0, "no SPT may ever be built");
     assert_eq!(routing.route_queries, 627);
     assert_eq!(routing.lazy_searches, 627);
-    assert_eq!(routing.routers_settled, 1_874_197);
+    assert_eq!(routing.routers_settled, 763_521);
     assert_eq!(routing.landmarks, 8);
 }

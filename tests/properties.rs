@@ -13,7 +13,9 @@ use bullet_suite::codec::{Framing, LtDecoder, LtEncoder, TornadoDecoder, Tornado
 use bullet_suite::content::{
     missing_keys_iter, BloomFilter, PermutationFamily, ReconcileRequest, SummaryTicket, WorkingSet,
 };
-use bullet_suite::netsim::{LinkSpec, Network, NetworkSpec, RoutingMode, SimDuration, SimRng};
+use bullet_suite::netsim::{
+    LazyRouter, LinkSpec, Network, NetworkSpec, RoutingMode, SimDuration, SimRng,
+};
 use bullet_suite::overlay::{
     bottleneck_tree_with, overcast_tree_with, random_tree, OmbtConfig, OracleStrategy,
     OvercastConfig, ThroughputOracle, Tree,
@@ -395,7 +397,7 @@ fn tcp_throughput_is_monotone() {
 }
 
 /// For seeded transit-stub topologies at small and default (emulation)
-/// scale, the lazy bidirectional search and its ALT variant return exactly
+/// scale, the lazy search, unguided and with ALT landmarks, returns exactly
 /// the reference per-source Dijkstra's path — cost and hop sequence — for
 /// every ordered participant pair.
 #[test]
@@ -458,6 +460,32 @@ fn lazy_routing_matches_reference_on_the_paper_topology_class() {
         }
     }
     routing_equiv::assert_sampled_pairs_equivalent(&topo.spec, &pairs, "paper");
+}
+
+/// On the paper topology class, a participant whose attachment router is
+/// down is refuted by the lazy router's reverse reachability probe: no
+/// route, and at most `LazyRouter::PROBE_ROUTERS` routers settled rather
+/// than a forward search over the source's whole 20k-router component.
+#[test]
+fn routing_to_a_downed_attachment_router_settles_at_most_the_probe() {
+    let topo = generate(&TopologyConfig::paper_scale(16, 5));
+    let mut net = Network::with_routing(
+        &topo.spec,
+        RoutingMode::LazyAlt {
+            landmarks: RoutingMode::DEFAULT_LANDMARKS,
+        },
+    );
+    assert_ne!(net.attachment(0), net.attachment(1));
+    net.set_router_up(net.attachment(1), false);
+    let before = net.routing_stats();
+    assert_eq!(net.route(0, 1), None);
+    let after = net.routing_stats();
+    assert_eq!(after.lazy_searches, before.lazy_searches + 1);
+    let settled = after.routers_settled - before.routers_settled;
+    assert!(
+        (1..=LazyRouter::PROBE_ROUTERS as u64).contains(&settled),
+        "settled {settled} routers to refute a downed destination"
+    );
 }
 
 /// The scenario-dynamics mutation gate on seeded topology classes: after

@@ -3,7 +3,7 @@
 //! A 256-participant Bullet overlay streams for a few seconds of simulated
 //! time over a full paper-class transit-stub topology (≥ 20,000 routers,
 //! degree-one leaf attachment, Table 1 medium bandwidths), routed by the
-//! lazy landmark-guided bidirectional search `Scale::Paper` selects. Shared
+//! lazy landmark-guided forward search `Scale::Paper` selects. Shared
 //! (via `#[path]` inclusion) by `tests/determinism.rs`, which pins the
 //! delivery digest and byte totals to golden values, and by
 //! `examples/paper_smoke_probe.rs`, which recaptures them.

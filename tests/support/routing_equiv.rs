@@ -1,6 +1,6 @@
 //! Routing-equivalence harness.
 //!
-//! The lazy bidirectional router and its ALT (landmark) variant must return
+//! The lazy router, unguided and with ALT (landmark) guidance, must return
 //! the *same* canonical route — identical hop sequence, hence identical
 //! cost — as the eager per-source reference Dijkstra, for every router pair
 //! the overlay can use; the batched one-to-many row fills
@@ -22,7 +22,7 @@ pub const HARNESS_LANDMARKS: usize = 4;
 fn networks(spec: &NetworkSpec) -> (Network, Network, Network) {
     (
         Network::with_routing(spec, RoutingMode::EagerPerSource),
-        Network::with_routing(spec, RoutingMode::LazyBidirectional),
+        Network::with_routing(spec, RoutingMode::LazyAlt { landmarks: 0 }),
         Network::with_routing(
             spec,
             RoutingMode::LazyAlt {
@@ -32,12 +32,12 @@ fn networks(spec: &NetworkSpec) -> (Network, Network, Network) {
     )
 }
 
-/// Builds the batched (row-filling) networks under comparison: plain
-/// bidirectional and ALT, both queried exclusively through
+/// Builds the batched (row-filling) networks under comparison:
+/// unguided and ALT, both queried exclusively through
 /// `Network::route_batched`.
 fn batched_networks(spec: &NetworkSpec) -> (Network, Network) {
     (
-        Network::with_routing(spec, RoutingMode::LazyBidirectional),
+        Network::with_routing(spec, RoutingMode::LazyAlt { landmarks: 0 }),
         Network::with_routing(
             spec,
             RoutingMode::LazyAlt {
@@ -53,26 +53,29 @@ fn batched_networks(spec: &NetworkSpec) -> (Network, Network) {
 #[allow(clippy::too_many_arguments)]
 fn assert_pair(
     eager: &mut Network,
-    bidi: &mut Network,
+    plain: &mut Network,
     alt: &mut Network,
-    bidi_batched: &mut Network,
+    plain_batched: &mut Network,
     alt_batched: &mut Network,
     a: usize,
     b: usize,
     label: &str,
 ) {
     let reference = eager.path(a, b);
-    let lazy = bidi.path(a, b);
+    let lazy = plain.path(a, b);
     let guided = alt.path(a, b);
     assert_eq!(
         reference, lazy,
-        "{label}: participants {a}->{b}: bidirectional path diverges from reference"
+        "{label}: participants {a}->{b}: unguided lazy path diverges from reference"
     );
     assert_eq!(
         reference, guided,
         "{label}: participants {a}->{b}: ALT path diverges from reference"
     );
-    for (net, name) in [(bidi_batched, "batched-bidi"), (alt_batched, "batched-alt")] {
+    for (net, name) in [
+        (plain_batched, "batched-plain"),
+        (alt_batched, "batched-alt"),
+    ] {
         let batched = net
             .route_batched(a, b)
             .map(|id| net.route_links(id).to_vec());
@@ -85,8 +88,8 @@ fn assert_pair(
         let cost = eager.propagation_delay(a, b);
         assert_eq!(
             cost,
-            bidi.propagation_delay(a, b),
-            "{label}: {a}->{b}: bidirectional cost diverges"
+            plain.propagation_delay(a, b),
+            "{label}: {a}->{b}: unguided lazy cost diverges"
         );
         assert_eq!(
             cost,
@@ -101,17 +104,17 @@ fn assert_pair(
 /// it claims (the reference built trees, the lazy routers built none, the
 /// batched networks never fell back to point searches).
 pub fn assert_all_participant_pairs_equivalent(spec: &NetworkSpec, label: &str) {
-    let (mut eager, mut bidi, mut alt) = networks(spec);
-    let (mut bidi_batched, mut alt_batched) = batched_networks(spec);
+    let (mut eager, mut plain, mut alt) = networks(spec);
+    let (mut plain_batched, mut alt_batched) = batched_networks(spec);
     let n = spec.participants();
     for a in 0..n {
         for b in 0..n {
             if a != b {
                 assert_pair(
                     &mut eager,
-                    &mut bidi,
+                    &mut plain,
                     &mut alt,
-                    &mut bidi_batched,
+                    &mut plain_batched,
                     &mut alt_batched,
                     a,
                     b,
@@ -120,23 +123,23 @@ pub fn assert_all_participant_pairs_equivalent(spec: &NetworkSpec, label: &str) 
             }
         }
     }
-    check_strategy_invariants(&eager, &bidi, &alt, label);
-    check_batched_invariants(&bidi_batched, &alt_batched, n, label);
+    check_strategy_invariants(&eager, &plain, &alt, label);
+    check_batched_invariants(&plain_batched, &alt_batched, n, label);
 }
 
 /// Cross-checks a sampled subset of ordered participant pairs — used at
 /// paper scale where all-pairs would run 20k-router reference Dijkstras for
 /// every source.
 pub fn assert_sampled_pairs_equivalent(spec: &NetworkSpec, pairs: &[(usize, usize)], label: &str) {
-    let (mut eager, mut bidi, mut alt) = networks(spec);
-    let (mut bidi_batched, mut alt_batched) = batched_networks(spec);
+    let (mut eager, mut plain, mut alt) = networks(spec);
+    let (mut plain_batched, mut alt_batched) = batched_networks(spec);
     for &(a, b) in pairs {
         if a != b {
             assert_pair(
                 &mut eager,
-                &mut bidi,
+                &mut plain,
                 &mut alt,
-                &mut bidi_batched,
+                &mut plain_batched,
                 &mut alt_batched,
                 a,
                 b,
@@ -144,14 +147,14 @@ pub fn assert_sampled_pairs_equivalent(spec: &NetworkSpec, pairs: &[(usize, usiz
             );
         }
     }
-    check_strategy_invariants(&eager, &bidi, &alt, label);
-    check_batched_invariants(&bidi_batched, &alt_batched, spec.participants(), label);
+    check_strategy_invariants(&eager, &plain, &alt, label);
+    check_batched_invariants(&plain_batched, &alt_batched, spec.participants(), label);
 }
 
-fn check_strategy_invariants(eager: &Network, bidi: &Network, alt: &Network, label: &str) {
+fn check_strategy_invariants(eager: &Network, plain: &Network, alt: &Network, label: &str) {
     let e = eager.routing_stats();
     assert_eq!(e.lazy_searches, 0, "{label}: reference ran lazy searches");
-    let b = bidi.routing_stats();
+    let b = plain.routing_stats();
     assert_eq!(b.trees_built, 0, "{label}: lazy router built SPT trees");
     let g = alt.routing_stats();
     assert_eq!(g.trees_built, 0, "{label}: ALT router built SPT trees");
@@ -159,8 +162,8 @@ fn check_strategy_invariants(eager: &Network, bidi: &Network, alt: &Network, lab
     // run its claimed algorithm on the pairs it was handed.
     if e.route_queries > 0 {
         assert!(e.trees_built > 0, "{label}: reference built no trees");
-        assert!(b.lazy_searches > 0, "{label}: bidi ran no searches");
-        assert!(b.routers_settled > 0, "{label}: bidi settled nothing");
+        assert!(b.lazy_searches > 0, "{label}: plain ran no searches");
+        assert!(b.routers_settled > 0, "{label}: plain settled nothing");
         assert!(g.lazy_searches > 0, "{label}: ALT ran no searches");
         assert!(g.landmarks > 0, "{label}: ALT router holds no landmarks");
     }
@@ -216,8 +219,8 @@ impl TopoMutation {
 /// mutation so that stale caches, memo rows and router workspaces actually
 /// exist to be invalidated.
 pub fn assert_mutation_equivalence(spec: &NetworkSpec, mutations: &[TopoMutation], label: &str) {
-    let (mut eager, mut bidi, mut alt) = networks(spec);
-    let (mut bidi_batched, mut alt_batched) = batched_networks(spec);
+    let (mut eager, mut plain, mut alt) = networks(spec);
+    let (mut plain_batched, mut alt_batched) = batched_networks(spec);
     let n = spec.participants();
     let warm = |net: &mut Network| {
         for a in 0..n {
@@ -226,12 +229,12 @@ pub fn assert_mutation_equivalence(spec: &NetworkSpec, mutations: &[TopoMutation
             }
         }
     };
-    for net in [&mut eager, &mut bidi, &mut alt] {
+    for net in [&mut eager, &mut plain, &mut alt] {
         warm(net);
     }
     for a in 0..n {
         for b in 0..n {
-            let _ = bidi_batched.route_batched(a, b);
+            let _ = plain_batched.route_batched(a, b);
             let _ = alt_batched.route_batched(a, b);
         }
     }
@@ -240,9 +243,9 @@ pub fn assert_mutation_equivalence(spec: &NetworkSpec, mutations: &[TopoMutation
         mutation.apply_to_spec(&mut mutated_spec);
         for net in [
             &mut eager,
-            &mut bidi,
+            &mut plain,
             &mut alt,
-            &mut bidi_batched,
+            &mut plain_batched,
             &mut alt_batched,
         ] {
             mutation.apply_to_network(net);
@@ -256,10 +259,10 @@ pub fn assert_mutation_equivalence(spec: &NetworkSpec, mutations: &[TopoMutation
                 let reference = fresh.path(a, b);
                 let ctx = format!("{label}: step {step} ({mutation:?}): {a}->{b}");
                 assert_eq!(reference, eager.path(a, b), "{ctx}: incremental eager");
-                assert_eq!(reference, bidi.path(a, b), "{ctx}: incremental bidi");
+                assert_eq!(reference, plain.path(a, b), "{ctx}: incremental plain");
                 assert_eq!(reference, alt.path(a, b), "{ctx}: incremental alt");
                 for (net, name) in [
-                    (&mut bidi_batched, "batched-bidi"),
+                    (&mut plain_batched, "batched-plain"),
                     (&mut alt_batched, "batched-alt"),
                 ] {
                     let batched = net
@@ -271,7 +274,7 @@ pub fn assert_mutation_equivalence(spec: &NetworkSpec, mutations: &[TopoMutation
         }
         // Link state followed the mutation on every incremental network.
         for (id, want) in fresh.links().iter().enumerate() {
-            for (net, name) in [(&eager, "eager"), (&bidi, "bidi"), (&alt, "alt")] {
+            for (net, name) in [(&eager, "eager"), (&plain, "plain"), (&alt, "alt")] {
                 let got = net.link(id);
                 let ctx = format!("{label}: step {step} ({mutation:?}): link {id} on {name}");
                 assert_eq!(got.bandwidth_bps, want.bandwidth_bps, "{ctx}: bandwidth");
@@ -324,15 +327,15 @@ pub fn assert_mutation_equivalence(spec: &NetworkSpec, mutations: &[TopoMutation
 /// machinery (route-affecting mutations and ALT admissibility checks > 0).
 pub fn assert_incremental_equivalence(spec: &NetworkSpec, seed: u64, steps: usize, label: &str) {
     let mut rng = SimRng::new(seed);
-    let (mut eager, mut bidi, mut alt) = networks(spec);
-    let (mut bidi_batched, mut alt_batched) = batched_networks(spec);
+    let (mut eager, mut plain, mut alt) = networks(spec);
+    let (mut plain_batched, mut alt_batched) = batched_networks(spec);
     // The fuzzer is about the incremental mode: pin it even if the
     // environment overrode BULLET_REPAIR.
     for net in [
         &mut eager,
-        &mut bidi,
+        &mut plain,
         &mut alt,
-        &mut bidi_batched,
+        &mut plain_batched,
         &mut alt_batched,
     ] {
         net.set_repair_mode(RepairMode::Incremental);
@@ -348,10 +351,10 @@ pub fn assert_incremental_equivalence(spec: &NetworkSpec, seed: u64, steps: usiz
     // Warm every cache layer so there is real state to invalidate.
     for a in 0..n {
         for b in 0..n {
-            for net in [&mut eager, &mut bidi, &mut alt, &mut rebuild] {
+            for net in [&mut eager, &mut plain, &mut alt, &mut rebuild] {
                 let _ = net.path(a, b);
             }
-            let _ = bidi_batched.route_batched(a, b);
+            let _ = plain_batched.route_batched(a, b);
             let _ = alt_batched.route_batched(a, b);
         }
     }
@@ -363,9 +366,9 @@ pub fn assert_incremental_equivalence(spec: &NetworkSpec, seed: u64, steps: usiz
         mutation: TopoMutation,
         mutated_spec: &mut NetworkSpec,
         eager: &mut Network,
-        bidi: &mut Network,
+        plain: &mut Network,
         alt: &mut Network,
-        bidi_batched: &mut Network,
+        plain_batched: &mut Network,
         alt_batched: &mut Network,
         rebuild: &mut Network,
         n: usize,
@@ -374,9 +377,9 @@ pub fn assert_incremental_equivalence(spec: &NetworkSpec, seed: u64, steps: usiz
         mutation.apply_to_spec(mutated_spec);
         for net in [
             &mut *eager,
-            &mut *bidi,
+            &mut *plain,
             &mut *alt,
-            &mut *bidi_batched,
+            &mut *plain_batched,
             &mut *alt_batched,
             &mut *rebuild,
         ] {
@@ -392,11 +395,11 @@ pub fn assert_incremental_equivalence(spec: &NetworkSpec, seed: u64, steps: usiz
                 let reference = fresh.path(a, b);
                 let ctx = format!("{step_label} ({mutation:?}): {a}->{b}");
                 assert_eq!(reference, eager.path(a, b), "{ctx}: incremental eager");
-                assert_eq!(reference, bidi.path(a, b), "{ctx}: incremental bidi");
+                assert_eq!(reference, plain.path(a, b), "{ctx}: incremental plain");
                 assert_eq!(reference, alt.path(a, b), "{ctx}: incremental alt");
                 assert_eq!(reference, rebuild.path(a, b), "{ctx}: rebuild baseline");
                 for (net, name) in [
-                    (&mut *bidi_batched, "batched-bidi"),
+                    (&mut *plain_batched, "batched-plain"),
                     (&mut *alt_batched, "batched-alt"),
                 ] {
                     let batched = net
@@ -476,9 +479,9 @@ pub fn assert_incremental_equivalence(spec: &NetworkSpec, seed: u64, steps: usiz
             mutation,
             &mut mutated_spec,
             &mut eager,
-            &mut bidi,
+            &mut plain,
             &mut alt,
-            &mut bidi_batched,
+            &mut plain_batched,
             &mut alt_batched,
             &mut rebuild,
             n,
@@ -514,9 +517,9 @@ pub fn assert_incremental_equivalence(spec: &NetworkSpec, seed: u64, steps: usiz
             mutation,
             &mut mutated_spec,
             &mut eager,
-            &mut bidi,
+            &mut plain,
             &mut alt,
-            &mut bidi_batched,
+            &mut plain_batched,
             &mut alt_batched,
             &mut rebuild,
             n,
@@ -526,9 +529,9 @@ pub fn assert_incremental_equivalence(spec: &NetworkSpec, seed: u64, steps: usiz
     // Mode accounting over the whole run.
     for (net, name) in [
         (&eager, "eager"),
-        (&bidi, "bidi"),
+        (&plain, "plain"),
         (&alt, "alt"),
-        (&bidi_batched, "batched-bidi"),
+        (&plain_batched, "batched-plain"),
         (&alt_batched, "batched-alt"),
     ] {
         assert_eq!(
@@ -559,11 +562,11 @@ pub fn assert_incremental_equivalence(spec: &NetworkSpec, seed: u64, steps: usiz
     );
 }
 
-fn check_batched_invariants(bidi: &Network, alt: &Network, participants: usize, label: &str) {
+fn check_batched_invariants(plain: &Network, alt: &Network, participants: usize, label: &str) {
     // The flat route memo covers every harness topology, so a batched
     // network must serve everything from one-to-many row fills: no SPT
     // trees, no point searches, and at most one row fill per participant.
-    for (net, name) in [(bidi, "batched-bidi"), (alt, "batched-alt")] {
+    for (net, name) in [(plain, "batched-plain"), (alt, "batched-alt")] {
         let s = net.routing_stats();
         assert_eq!(s.trees_built, 0, "{label}: {name} built SPT trees");
         assert_eq!(
